@@ -1,10 +1,23 @@
 """Exact computation of signed and k-tuple total domination parameters.
 
-Two branch-and-bound engines live here.  ``optimize_signed`` searches the
-2^n labellings f: V -> {-1,+1} under a per-vertex open-neighbourhood
-constraint f(N(v)) <= b or >= b; ``ktuple_total_domination`` searches vertex
-subsets D under |N(v) & D| >= k.  Both are exact, deterministic, and sized
-for desk-scale graphs (caps overridable through SIGDOM_NODE_CAP).
+Every parameter is a minimum cover of a per-vertex demand vector: a vertex
+set S with |N(v) & S| >= demand[v] for every v, found by one branch-and-bound
+search over bitset adjacency (``_solve_ktuple``).  A labelling
+f: V -> {-1,+1} with minus set M has f(N(v)) = deg v - 2|N(v) & M|, so the
+three signed problems are covers too:
+
+    parameter  cover set         demand at v         value
+    istdn      M (the -1 set)    ceil(deg v / 2)     n - 2 min|M|
+    st2in      M                 floor(deg v / 2)    n - 2 min|M|
+    stdn       P (the +1 set)    floor(deg v / 2)+1  2 min|P| - n
+    ktd, td    D                 k, or 1             min|D|
+
+``optimize_signed`` is kept as an independent search over the labellings
+themselves.  On an r-regular graph the signed demands are constant, so the
+regular-graph identities take their signed side from it; from the cover
+engine they would compare that engine with itself.  All searches are exact,
+deterministic, and sized for desk-scale graphs (caps overridable through
+SIGDOM_NODE_CAP).
 """
 
 from __future__ import annotations
@@ -128,10 +141,10 @@ def is_feasible(g: Graph, f: SignedFunction, problem: SignedProblem) -> bool:
     return all(s >= problem.bound for s in f.nbr_sums)
 
 
-def _branch_order(g: Graph) -> list[int]:
+def _branch_order(degrees: Sequence[int]) -> list[int]:
     # Descending degree, ties by index: high-degree vertices constrain the
     # most neighbourhoods early, and the total order makes runs reproducible.
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    return sorted(range(len(degrees)), key=lambda v: (-degrees[v], v))
 
 
 def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
@@ -147,7 +160,7 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     _require_positive_min_degree(g)
     _require_size(g, SIGNED_SIZE_CAP, "signed solver")
     n = g.n
-    order = _branch_order(g)
+    order = _branch_order(g.degrees())
     le = problem.sense == "le"
     bound = problem.bound
     maximize = problem.maximize
@@ -204,158 +217,193 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     return ParameterResult(best, witness, nodes)
 
 
+# ---------------------------------------------------------------------------
+# The cover engine
+# ---------------------------------------------------------------------------
+
+
+def _greedy_cover(g: Graph, demand: Sequence[int]) -> frozenset[int]:
+    """A feasible cover of ``demand`` by max-coverage greedy.
+
+    Each pick is the lowest-indexed vertex adjacent to the most vertices
+    that still have demand; one always gains, because no demand exceeds the
+    degree.
+    """
+    adj = g.adj
+    need = list(demand)
+    hungry = sum(1 << v for v, d in enumerate(need) if d > 0)
+    free = list(range(g.n))
+    chosen = []
+    while hungry:
+        best_v = best_gain = 0
+        for v in free:
+            gain = (adj[v] & hungry).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        free.remove(best_v)
+        chosen.append(best_v)
+        hit = adj[best_v] & hungry
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            u = low.bit_length() - 1
+            need[u] -= 1
+            if need[u] == 0:
+                hungry ^= low
+    return frozenset(chosen)
+
+
+def _cover_search(
+    g: Graph, demand: Sequence[int], best: int, lower: int | None
+) -> tuple[list[frozenset[int]], int]:
+    """Depth-first branch and bound over covers of ``demand`` smaller than
+    ``best``; returns the covers it records and the nodes explored.
+
+    Given ``lower``, it minimises: each cover found replaces the previous
+    one and tightens ``best``, and the search stops once ``best == lower``.
+    Without ``lower`` the bound stays put and every cover is kept.  With
+    ``best`` one above the minimum those are exactly the minimum covers,
+    each recorded once: no proper subset of a minimum cover is a cover, so
+    the search reaches each one as it takes the cover's last vertex in
+    branch order.
+
+    Pruning: a vertex with more demand left than undecided neighbours kills
+    the branch, and so does outstanding demand that needs too many more
+    picks.  Vertices are decided in descending degree, so each later pick
+    settles at most the degree of the next vertex in order.
+    """
+    n = g.n
+    degrees = g.degrees()
+    order = _branch_order(degrees)
+    # the most demand one more pick can settle at depth i and below
+    reach = [degrees[u] for u in order]
+    neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
+
+    need = list(demand)  # demand left; taking a neighbour lowers it
+    # undecided neighbours minus demand left; only skipping a neighbour
+    # lowers it, and below zero the vertex can no longer be covered
+    slack = [d - k for d, k in zip(degrees, demand)]
+    chosen: list[int] = []
+    outstanding = sum(demand)
+    covers: list[frozenset[int]] = []
+    nodes = 0
+
+    def dfs(i: int) -> None:
+        nonlocal best, nodes, outstanding
+        if best == lower:
+            return
+        if outstanding == 0:
+            # the bound below keeps every cover reached smaller than best
+            if lower is not None:
+                best = len(chosen)
+                covers.clear()
+            covers.append(frozenset(chosen))
+            return
+        if i == n:
+            return
+        if len(chosen) + (outstanding + reach[i] - 1) // reach[i] >= best:
+            return
+        u = order[i]
+        nbrs = neighbor_lists[u]
+        nodes += 2
+        settled = 0
+        for v in nbrs:
+            need[v] -= 1
+            if need[v] >= 0:
+                settled += 1
+        outstanding -= settled
+        chosen.append(u)
+        dfs(i + 1)
+        chosen.pop()
+        outstanding += settled
+        for v in nbrs:
+            need[v] += 1
+        ok = True
+        for v in nbrs:
+            slack[v] -= 1
+            if slack[v] < 0:
+                ok = False
+        if ok:
+            dfs(i + 1)
+        for v in nbrs:
+            slack[v] += 1
+
+    dfs(0)
+    return covers, nodes
+
+
+def _solve_ktuple(g: Graph, demand: Sequence[int], lower: int) -> ParameterResult:
+    """Minimum cover of ``demand``, seeded by the greedy cover; closes at
+    the root, with no search, when the seed meets ``lower``."""
+    seed = _greedy_cover(g, demand)
+    if len(seed) == lower:
+        return ParameterResult(lower, seed, 0)
+    covers, nodes = _cover_search(g, demand, len(seed), lower)
+    best = covers[-1] if covers else seed
+    return ParameterResult(len(best), best, nodes)
+
+
+# ---------------------------------------------------------------------------
+# Signed parameters as covers
+# ---------------------------------------------------------------------------
+
+
+def _signed_demand(g: Graph, problem: SignedProblem) -> tuple[int, list[int]]:
+    """The label of the cover set, and each vertex's demand on it.
+
+    f(N(v)) = 2|N(v) & P| - deg v = deg v - 2|N(v) & M|.  Maximising under
+    f(N(v)) <= b covers with M, demanding ceil((deg v - b) / 2); minimising
+    under f(N(v)) >= b covers with P, demanding ceil((deg v + b) / 2).
+    """
+    sign = -1 if problem.maximize else 1
+    return sign, [(d + sign * problem.bound + 1) // 2 for d in g.degrees()]
+
+
+def _signed_cover(g: Graph, problem: SignedProblem) -> ParameterResult:
+    _require_positive_min_degree(g)
+    _require_size(g, SIGNED_SIZE_CAP, "signed solver")
+    sign, demand = _signed_demand(g, problem)
+    lower = max(max(demand), -(-sum(demand) // max_degree(g)))
+    res = _solve_ktuple(g, demand, lower)
+    witness = SignedFunction.from_values(
+        g, [sign if v in res.witness else -sign for v in range(g.n)]
+    )
+    return ParameterResult(sign * (2 * res.value - g.n), witness, res.nodes_explored)
+
+
 def istdn(g: Graph) -> ParameterResult:
     """Maximum weight over labellings with f(N(v)) <= 0 everywhere."""
-    return optimize_signed(g, INVERSE_SIGNED_TOTAL)
+    return _signed_cover(g, INVERSE_SIGNED_TOTAL)
 
 
 def stdn(g: Graph) -> ParameterResult:
     """Minimum weight over labellings with f(N(v)) >= 1 everywhere."""
-    return optimize_signed(g, SIGNED_TOTAL)
+    return _signed_cover(g, SIGNED_TOTAL)
 
 
 def st2in(g: Graph) -> ParameterResult:
     """Maximum weight over labellings with f(N(v)) <= 1 everywhere."""
-    return optimize_signed(g, NEGATIVE_DECISION)
+    return _signed_cover(g, NEGATIVE_DECISION)
 
 
 def enumerate_maximum_istdfs(g: Graph) -> list[SignedFunction]:
     """All labellings achieving istdn(g), sorted by value vector.
 
-    Same search as optimize_signed but with the optimum pinned first, so the
-    bound keeps ties instead of discarding them.
+    These are the minimum covers of the istdn demand, found by the cover
+    search with its bound pinned one above the minimum minus-set size.
     """
     _require_positive_min_degree(g)
     _require_size(g, ENUMERATION_SIZE_CAP, "optimum enumeration")
-    target = istdn(g).value
-    n = g.n
-    order = _branch_order(g)
-    vals = [0] * n
-    labeled = [0] * n
-    slack = list(g.degrees())
-    neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
-    found: list[tuple[int, ...]] = []
-
-    def dfs(i: int, weight: int) -> None:
-        if i == n:
-            if weight == target:
-                found.append(tuple(vals))
-            return
-        u = order[i]
-        rest = n - i - 1
-        for s in (1, -1):
-            w2 = weight + s
-            if w2 + rest < target:
-                continue
-            vals[u] = s
-            ok = True
-            for v in neighbor_lists[u]:
-                labeled[v] += s
-                slack[v] -= 1
-                if ok and labeled[v] - slack[v] > 0:
-                    ok = False
-            if ok:
-                dfs(i + 1, w2)
-            for v in neighbor_lists[u]:
-                labeled[v] -= s
-                slack[v] += 1
-            vals[u] = 0
-
-    dfs(0, 0)
-    found.sort()
+    size = (g.n - istdn(g).value) // 2
+    _, demand = _signed_demand(g, INVERSE_SIGNED_TOTAL)
+    covers, _ = _cover_search(g, demand, size + 1, None)
+    found = sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)
     return [SignedFunction.from_values(g, vals) for vals in found]
 
 
 # ---------------------------------------------------------------------------
 # k-tuple total domination
 # ---------------------------------------------------------------------------
-
-
-def _greedy_cover(g: Graph, k: int) -> set[int]:
-    """Feasible k-tuple total dominating set by max-coverage greedy."""
-    n = g.n
-    need = [k] * n
-    chosen: set[int] = set()
-    outstanding = k * n
-    while outstanding > 0:
-        best_v = -1
-        best_gain = 0
-        for v in range(n):
-            if v in chosen:
-                continue
-            gain = sum(1 for u in g.neighbors(v) if need[u] > 0)
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        # gain is always positive while demands remain (k <= delta)
-        chosen.add(best_v)
-        for u in g.neighbors(best_v):
-            if need[u] > 0:
-                need[u] -= 1
-                outstanding -= 1
-    return chosen
-
-
-def _solve_ktuple(g: Graph, k: int, lower: int) -> ParameterResult:
-    n = g.n
-    big_delta = max_degree(g)
-    order = _branch_order(g)
-    neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
-
-    seed = _greedy_cover(g, k)
-    best = len(seed)
-    best_set = frozenset(seed)
-    nodes = 0
-    if best == lower:
-        return ParameterResult(best, best_set, nodes)
-
-    need = [k] * n          # remaining demand of each vertex
-    avail = list(g.degrees())  # undecided neighbours that could still serve
-    chosen: list[int] = []
-    outstanding = k * n
-
-    def dfs(i: int) -> None:
-        nonlocal best, best_set, nodes, outstanding
-        if best == lower:
-            return
-        if outstanding == 0:
-            if len(chosen) < best:
-                best = len(chosen)
-                best_set = frozenset(chosen)
-            return
-        if i == n:
-            return
-        # each future pick settles at most big_delta units of demand
-        if len(chosen) + (outstanding + big_delta - 1) // big_delta >= best:
-            return
-        u = order[i]
-        for take in (True, False):
-            nodes += 1
-            delta_out = 0
-            ok = True
-            for v in neighbor_lists[u]:
-                if take:
-                    if need[v] > 0:
-                        delta_out += 1
-                    need[v] -= 1
-                avail[v] -= 1
-                if need[v] > avail[v]:
-                    ok = False
-            if take:
-                outstanding -= delta_out
-                chosen.append(u)
-            if ok:
-                dfs(i + 1)
-            if take:
-                chosen.pop()
-                outstanding += delta_out
-            for v in neighbor_lists[u]:
-                if take:
-                    need[v] += 1
-                avail[v] += 1
-
-    dfs(0)
-    return ParameterResult(best, best_set, nodes)
 
 
 def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
@@ -377,7 +425,7 @@ def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
         lower = max(level + 1, -(-level * g.n // big_delta))
         if prev is not None:
             lower = max(lower, prev + 1)
-        res = _solve_ktuple(g, level, lower)
+        res = _solve_ktuple(g, [level] * g.n, lower)
         results.append(res)
         prev = res.value
     return results

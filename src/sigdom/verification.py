@@ -32,11 +32,13 @@ from .graphs import (
     write_graph6,
 )
 from .solvers import (
+    INVERSE_SIGNED_TOTAL,
+    NEGATIVE_DECISION,
+    SIGNED_TOTAL,
     enumerate_maximum_istdfs,
     istdn,
     ktuple_chain,
-    st2in,
-    stdn,
+    optimize_signed,
     total_domination,
 )
 
@@ -227,6 +229,10 @@ def check_regular_identities(g: Graph) -> CheckReport:
       st2in = n - 2*gamma_{x floor(r/2), t}      (level 0 count is 0)
 
     and consequently istdn = -stdn for odd r, istdn = st2in for even r.
+
+    The signed side comes from the labelling search ``optimize_signed``: the
+    istdn/stdn/st2in solvers reduce to the same cover engine as the tuple
+    minima, with constant demand here, so they would check nothing.
     """
     gid = write_graph6(g)
     r = is_regular(g)
@@ -244,9 +250,9 @@ def check_regular_identities(g: Graph) -> CheckReport:
     gamma_up = chain[up - 1]
     gamma_up1 = chain[up1 - 1]
     gamma_down = chain[down - 1] if down >= 1 else 0
-    ist = istdn(g).value
-    std = stdn(g).value
-    s2 = st2in(g).value
+    ist = optimize_signed(g, INVERSE_SIGNED_TOTAL).value
+    std = optimize_signed(g, SIGNED_TOTAL).value
+    s2 = optimize_signed(g, NEGATIVE_DECISION).value
     eqs = {
         "istdn": ist == n - 2 * gamma_up,
         "stdn": std == 2 * gamma_up1 - n,

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sigdom.constructions import build_heawood, build_matched_multipartite
 from sigdom.graphs import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     min_degree,
+    parse_graph6,
     path_graph,
     star_graph,
 )
@@ -228,3 +231,59 @@ def test_deterministic_results():
     assert first.value == second.value
     assert first.witness.values == second.witness.values
     assert first.nodes_explored == second.nodes_explored
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 9) -> Graph:
+    """A random spanning tree plus random extra edges, on 2..max_n vertices."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {e for e, keep in zip(pairs, extra) if keep}
+    return Graph(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_cover_engine_matches_labelling_search_and_brute_force(g):
+    for name, (problem, solver) in PROBLEMS.items():
+        res = solver(g)
+        expected, _ = brute_signed(g, problem.sense, problem.bound, problem.maximize)
+        assert res.value == expected == optimize_signed(g, problem).value, name
+        assert is_feasible(g, res.witness, problem), name
+        assert res.witness.weight == res.value, name
+    value, count = brute_signed(g, "le", 0, True)
+    fs = enumerate_maximum_istdfs(g)
+    assert len(fs) == count
+    assert all(f.weight == value for f in fs)
+    assert [f.values for f in fs] == sorted(f.values for f in fs)
+
+
+def test_st2in_with_zero_demand_everywhere():
+    # every vertex has degree 1, so floor(deg/2) = 0: the empty minus set
+    # covers, and the search closes at the root
+    matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    res = st2in(matching)
+    assert res.value == 6 and res.nodes_explored == 0
+    assert res.witness.values == (1,) * 6
+
+
+#: A connected cubic graph with n = 24 from the configuration model (seed 2024).
+CUBIC_24 = "WK????K?C?GOE?_o?`?oC?C@D??A?O?_S?c?GE?@C????CD"
+
+#: Search nodes of (istdn, stdn, st2in) when these bounds were set.
+NODE_COUNTS = {
+    "C30": (cycle_graph(30), (222, 0, 222)),
+    "hr3": (build_matched_multipartite(3).graph, (0, 1272, 0)),
+    "heawood": (build_heawood(), (476, 476, 476)),
+    "cubic24": (parse_graph6(CUBIC_24), (1418, 1418, 1272)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_COUNTS))
+def test_signed_search_node_bounds(name):
+    # 10 % headroom over the counts above, so a pruning regression fails
+    g, counts = NODE_COUNTS[name]
+    for solver, count in zip((istdn, stdn, st2in), counts):
+        assert solver(g).nodes_explored <= count * 11 // 10, solver.__name__

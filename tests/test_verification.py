@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from sigdom import solvers
 from sigdom.constructions import build_heawood, build_matched_multipartite
 from sigdom.graphs import (
     Graph,
@@ -74,6 +76,31 @@ def test_regular_identities_examples():
         assert rep.applicable and rep.holds, rep.notes
     rep = check_regular_identities(complete_bipartite_graph(2, 3))
     assert not rep.applicable
+
+
+def test_regular_identities_are_independent_of_the_cover_engine(monkeypatch):
+    petersen = Graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+    circulant = Graph(8, [(i, (i + s) % 8) for i in range(8) for s in (1, 2)])
+    graphs = (complete_graph(4), petersen, circulant)
+    assert all(check_regular_identities(g).holds for g in graphs)
+
+    real = solvers._solve_ktuple
+
+    def off_by_one(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(solvers, "_solve_ktuple", off_by_one)
+    # the signed solvers and the tuple minima now err alike; a check that
+    # took both sides from the cover engine could miss the mutation
+    for g in graphs:
+        rep = check_regular_identities(g)
+        assert rep.applicable and not rep.holds, rep.notes
 
 
 def test_regular_identities_on_cycles():
