@@ -5,17 +5,20 @@ Subcommands: ``compute`` (parameters over a graph6/edge-list stream),
 graph6), ``enumerate`` (free trees to graph6).  Results stream as JSONL or
 graph6 lines so the subcommands compose through pipes.
 
-Exit codes: 0 all good, 1 a verified relation was violated, 2 usage or
-input error.
+Exit codes: 0 all good, 1 a verified relation was violated, 2 usage, input
+or precondition error, with its location.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from collections.abc import Iterator
+from functools import partial
 
 from .constructions import (
     build_heawood,
@@ -29,7 +32,7 @@ from .graphs import (
     max_degree,
     min_degree,
     parse_edge_list,
-    parse_graph6,
+    stream_graph6,
     write_graph6,
 )
 from .solvers import (
@@ -41,7 +44,7 @@ from .solvers import (
     total_domination,
 )
 from .trees import MAX_TREE_ORDER, free_trees
-from .verification import CHECK_IDS, SuiteSummary, evaluate_check, run_suite
+from .verification import CHECK_IDS, run_suite
 
 SUITES = {
     "t22": ("t22",),
@@ -142,38 +145,72 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Input plumbing
+# Input and the one execution path
 # ---------------------------------------------------------------------------
 
 
-def _iter_input_graphs(args) -> Iterator[tuple[str, Graph]]:
-    """Yield (location, graph) pairs from --input/stdin or --trees-up-to."""
-    trees_up_to = getattr(args, "trees_up_to", None)
-    if trees_up_to is not None:
-        if not 2 <= trees_up_to <= MAX_TREE_ORDER:
-            raise _UsageError(
-                f"--trees-up-to must be in 2..{MAX_TREE_ORDER}, got {trees_up_to}"
-            )
-        for n in range(2, trees_up_to + 1):
+def _records(args) -> Iterator[tuple[str, Graph] | _UsageError]:
+    """Yield the input as (location, graph) records, in input order.  Input
+    that cannot be read ends them with an error record: a raise here would
+    lose, under a process pool, the results of the records before it."""
+    n_max = getattr(args, "trees_up_to", None)
+    if n_max is not None and not 2 <= n_max <= MAX_TREE_ORDER:
+        raise _UsageError(f"--trees-up-to must be in 2..{MAX_TREE_ORDER}, got {n_max}")
+    if n_max is not None:
+        for n in range(2, n_max + 1):
             for idx, t in enumerate(free_trees(n)):
                 yield f"tree n={n} #{idx}", t
         return
     source = args.input or "<stdin>"
-    if args.input:
-        with open(args.input, "r", encoding="ascii") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
-    if args.format == "edgelist":
-        yield source, parse_edge_list(text)
-        return
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            yield f"{source}:{lineno}", parse_graph6(line)
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"{source}:{lineno}: {exc}") from exc
+    # an undecodable byte becomes U+FFFD, which the parsers reject at its line
+    if args.input is None and isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(errors="replace")
+    try:
+        with (open(args.input, encoding="ascii", errors="replace") if args.input
+              else contextlib.nullcontext(sys.stdin)) as handle:
+            if args.format == "graph6":
+                yield from stream_graph6(handle, source)
+            else:
+                yield source, parse_edge_list(handle.read())
+    except OSError as exc:
+        yield _UsageError(f"{source}: {exc.strerror}")
+    except GraphFormatError as exc:  # stream_graph6 has located it already
+        yield _UsageError(str(exc) if args.format == "graph6" else f"{source}: {exc}")
+
+
+def _located(fn: Callable, record: tuple[str, Graph] | _UsageError):
+    """fn(graph) for one record, or its located error, returned in place."""
+    if isinstance(record, _UsageError):
+        return record
+    where, g = record
+    try:
+        return fn(g)
+    except ValueError as exc:
+        return _UsageError(f"{where}: {exc}")
+
+
+def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
+    """Yield fn(graph) for each record in input order, computed here for one
+    job and on ``jobs`` worker processes otherwise.  The first error record
+    is raised after the results before it; pending work is cancelled."""
+    if jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
+    located = partial(_located, fn)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        if pool is None:
+            results = map(located, records)
+        else:
+            # pool.map submits every record before it yields a result: list
+            # them first, or finished results pile up here while they are built
+            results = pool.map(located, list(records), chunksize=4)
+        for result in results:
+            if isinstance(result, _UsageError):
+                raise result
+            yield result
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _witness_payload(witness) -> list[int]:
@@ -195,62 +232,27 @@ def _compute_record(g: Graph, param: str, k: int | None) -> str:
     return json.dumps(payload)
 
 
-def _compute_worker(job: tuple[str, str, int | None]) -> str:
-    g6, param, k = job
-    return _compute_record(parse_graph6(g6), param, k)
-
-
 def _cmd_compute(args) -> int:
     if args.param == "ktd" and args.k is None:
         raise _UsageError("--param ktd requires --k")
     if args.param != "ktd" and args.k is not None:
         raise _UsageError("--k is only meaningful with --param ktd")
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
-    if args.jobs == 1:
-        for where, g in _iter_input_graphs(args):
-            try:
-                print(_compute_record(g, args.param, args.k))
-            except ValueError as exc:
-                raise _UsageError(f"{where}: {exc}") from exc
-        return 0
-    jobs = [(write_graph6(g), args.param, args.k) for _, g in _iter_input_graphs(args)]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for line in pool.map(_compute_worker, jobs, chunksize=8):
-            print(line)
+    solve = partial(_compute_record, param=args.param, k=args.k)
+    for line in _run(args.jobs, solve, _records(args)):
+        print(line)
     return 0
 
 
-def _verify_worker(job: tuple[str, tuple[str, ...], int | None]):
-    g6, check_ids, r = job
-    g = parse_graph6(g6)
-    return [evaluate_check(cid, g, turan_r=r) for cid in check_ids]
-
-
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
-    check_ids = SUITES[args.suite]
     if args.r is not None and args.r < 2:
         raise _UsageError("--r must be >= 2")
-    if args.jobs == 1:
-        graphs = (g for _, g in _iter_input_graphs(args))
-        summary = run_suite(
-            graphs,
-            check_ids,
-            turan_r=args.r,
-            on_report=lambda rep: print(rep.json_line()),
-        )
-    else:
-        jobs = [
-            (write_graph6(g), check_ids, args.r) for _, g in _iter_input_graphs(args)
-        ]
-        summary = SuiteSummary()
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for reports in pool.map(_verify_worker, jobs, chunksize=4):
-                for report in reports:
-                    summary.add(report)
-                    print(report.json_line())
+    summary = run_suite(
+        _records(args),
+        SUITES[args.suite],
+        turan_r=args.r,
+        on_report=lambda rep: print(rep.json_line()),
+        mapper=partial(_run, args.jobs),
+    )
     print(summary.json_line())
     return 0 if summary.ok else 1
 
@@ -316,12 +318,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    n_max = args.trees_up_to
-    if not 2 <= n_max <= MAX_TREE_ORDER:
-        raise _UsageError(f"--trees-up-to must be in 2..{MAX_TREE_ORDER}, got {n_max}")
-    for n in range(2, n_max + 1):
-        for t in free_trees(n):
-            print(write_graph6(t))
+    for _, t in _records(args):
+        print(write_graph6(t))
     return 0
 
 
@@ -330,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"sigdom: error: {exc}", file=sys.stderr)
-        return 2
-    except GraphFormatError as exc:
+    except (_UsageError, GraphFormatError) as exc:
         print(f"sigdom: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

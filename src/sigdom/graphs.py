@@ -158,19 +158,19 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
-def stream_graph6(lines: Iterable[str], source: str = "<stream>") -> Iterator[Graph]:
-    """Yield one Graph per non-blank graph6 line; malformed lines raise.
-
-    Errors carry the 1-based line number so a bad record inside a large
-    corpus file can be located.
-    """
+def stream_graph6(
+    lines: Iterable[str], source: str = "<stream>"
+) -> Iterator[tuple[str, Graph]]:
+    """Yield ``("source:line", graph)`` per non-blank graph6 line, with
+    1-based line numbers; a malformed line raises with its location."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        where = f"{source}:{lineno}"
         try:
-            yield parse_graph6(line)
+            yield where, parse_graph6(line)
         except GraphFormatError as exc:
-            raise GraphFormatError(f"{source}:{lineno}: {exc}") from exc
+            raise GraphFormatError(f"{where}: {exc}") from exc
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -246,7 +246,6 @@ _FAMILIES = {
     "complete": (1, complete_graph),
     "cycle": (1, cycle_graph),
     "path": (1, path_graph),
-    "complete_bipartite": (2, complete_bipartite_graph),
     "bipartite": (2, complete_bipartite_graph),
     "star": (1, star_graph),
 }
@@ -254,7 +253,7 @@ _FAMILIES = {
 
 def generate_family(name: str, *params: int) -> Graph:
     """Build one of the named families: complete n, cycle n, path n,
-    complete_bipartite m n (alias: bipartite), star n."""
+    bipartite m n, star n."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     arity, builder = _FAMILIES[name]

@@ -119,9 +119,6 @@ class SignedFunction:
     def minus_vertices(self) -> frozenset[int]:
         return frozenset(v for v, s in enumerate(self.values) if s == -1)
 
-    def plus_vertices(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.values) if s == 1)
-
 
 @dataclass(frozen=True)
 class ParameterResult:

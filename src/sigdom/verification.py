@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from collections.abc import Callable, Iterable
 
 from .constructions import (
@@ -72,7 +73,6 @@ class CheckReport:
     holds: bool
     sharp: bool
     applicable: bool = True
-    witness: object = None
     notes: str = ""
 
     def json_line(self) -> str:
@@ -148,7 +148,7 @@ class SuiteSummary:
 
 
 def _inapplicable(check_id: str, gid: str, why: str) -> CheckReport:
-    return CheckReport(check_id, gid, 0, 0, True, False, False, None, f"inapplicable: {why}")
+    return CheckReport(check_id, gid, 0, 0, True, False, False, f"inapplicable: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +425,34 @@ def evaluate_check(check_id: str, g: Graph, *, turan_r: int | None = None) -> Ch
     return _PLAIN_CHECKS[check_id](g)
 
 
+def _evaluate_checks(
+    check_ids: list[str], turan_r: int | None, g: Graph
+) -> list[CheckReport]:
+    return [evaluate_check(cid, g, turan_r=turan_r) for cid in check_ids]
+
+
 def run_suite(
-    graphs: Iterable[Graph],
+    graphs: Iterable,
     check_ids: Iterable[str],
     *,
     turan_r: int | None = None,
     on_report: Callable[[CheckReport], None] | None = None,
+    mapper: Callable = map,
 ) -> SuiteSummary:
     """Evaluate the selected checks on every graph of the corpus.
 
     Graphs that miss a check's preconditions count as inapplicable, never as
     failures.  Reports stream through ``on_report`` in corpus order.
+    ``mapper(fn, graphs)`` replaces ``map``, e.g. to run ``fn``, which gives
+    one graph's reports, in worker processes; it must keep corpus order.
     """
     wanted = [cid for cid in CHECK_IDS if cid in set(check_ids)]
     unknown = set(check_ids) - set(CHECK_IDS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     summary = SuiteSummary()
-    for g in graphs:
-        for cid in wanted:
-            report = evaluate_check(cid, g, turan_r=turan_r)
+    for reports in mapper(partial(_evaluate_checks, wanted, turan_r), graphs):
+        for report in reports:
             summary.add(report)
             if on_report is not None:
                 on_report(report)

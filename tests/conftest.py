@@ -12,7 +12,7 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 def load_corpus(name: str):
     path = DATA_DIR / name
     with path.open() as handle:
-        return list(stream_graph6(handle, source=name))
+        return [g for _, g in stream_graph6(handle, source=name)]
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,14 @@
+import contextlib
 import io
 import json
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigdom import cli
+from sigdom.constructions import build_matched_multipartite
 from sigdom.graphs import (
     cycle_graph,
     is_connected,
@@ -12,6 +17,9 @@ from sigdom.graphs import (
     write_graph6,
 )
 from sigdom.verification import CheckReport
+
+CUBIC = str(Path(__file__).resolve().parent.parent / "data" / "cubic_upto10.g6")
+HR4 = write_graph6(build_matched_multipartite(4).graph)
 
 
 def run_cli(capsys, monkeypatch, argv, stdin: str = ""):
@@ -228,3 +236,79 @@ def test_mutually_exclusive_inputs(capsys, monkeypatch, tmp_path):
             ["verify", "--suite", "t22", "--input", str(corpus), "--trees-up-to", "4"]
         )
     assert exc.value.code == 2
+
+
+# (argv, stdin, location of the first bad record); {tmp} is a directory
+# holding nonascii.g6, whose second line has UTF-8 bytes outside graph6.
+CONTRACT_CASES = {
+    "isolated-vertex": (["compute", "--param", "istdn"], "A_\nB_\n", "<stdin>:2"),
+    "ktd-k-above-degree": (
+        ["compute", "--param", "ktd", "--k", "5", "--input", CUBIC], "", f"{CUBIC}:1"
+    ),
+    "turan-above-size-cap": (["verify", "--suite", "turan"], HR4 + "\n", "<stdin>:1"),
+    "edgelist-empty-graph": (
+        ["verify", "--suite", "all", "--format", "edgelist"], "0\n", "<stdin>"
+    ),
+    "missing-input": (
+        ["verify", "--suite", "all", "--input", "{tmp}/missing.g6"], "",
+        "{tmp}/missing.g6",
+    ),
+    "non-ascii-input": (
+        ["compute", "--param", "td", "--input", "{tmp}/nonascii.g6"], "",
+        "{tmp}/nonascii.g6:2",
+    ),
+    "graph6-alphabet": (["compute", "--param", "td"], "A_\n\nA!\n", "<stdin>:3"),
+    "graph6-padding": (["verify", "--suite", "t22"], "A_\nBx\n", "<stdin>:2"),
+    "graph6-length": (["compute", "--param", "td"], "A_\nC~~\nA_\n", "<stdin>:2"),
+    "edgelist-self-loop": (
+        ["compute", "--param", "td", "--format", "edgelist"], "3\n0 0\n", "<stdin>"
+    ),
+    "edgelist-dangling": (
+        ["compute", "--param", "td", "--format", "edgelist"], "3\n0 1 2\n", "<stdin>"
+    ),
+    "edgelist-not-integer": (
+        ["verify", "--suite", "t22", "--format", "edgelist"], "x\n", "<stdin>"
+    ),
+    "edgelist-empty": (["compute", "--param", "td", "--format", "edgelist"], "", "<stdin>"),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, where", CONTRACT_CASES.values(), ids=CONTRACT_CASES)
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, where):
+    (tmp_path / "nonascii.g6").write_bytes("A_\ncaf\u00e9\n".encode("utf-8"))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    where = where.replace("{tmp}", str(tmp_path))
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], stdin)
+        assert code == 2
+        assert err.startswith(f"sigdom: error: {where}: ") and err.count("\n") == 1
+        runs.append((out, err))
+    assert runs[0] == runs[1]
+
+
+def test_error_after_good_records_keeps_their_output(capsys, monkeypatch):
+    stdin = "A_\nC~\nA!\n"
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["compute", "--param", "td", "--jobs", jobs], stdin
+        )
+        assert code == 2
+        assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["A_", "C~"]
+
+
+_G6_CHARS = "".join(chr(c) for c in range(63, 127)) + " \n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.text(alphabet=_G6_CHARS, max_size=40)))
+def test_compute_on_arbitrary_text_exits_0_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(text)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = cli.main(["compute", "--param", "td"])
+    assert code in (0, 2)
+    assert err.getvalue().startswith("sigdom: error: <stdin>:") == (code == 2)

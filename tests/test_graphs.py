@@ -1,7 +1,9 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigdom.graphs import (
     Graph,
@@ -96,11 +98,31 @@ def test_graph6_malformed_records():
         write_graph6(Graph(63))
 
 
+@st.composite
+def labelled_graphs(draw, max_n=62):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graphs())
+def test_graph6_round_trip_against_networkx(g):
+    line = write_graph6(g)
+    assert parse_graph6(line) == g
+    h = nx.from_graph6_bytes(line.encode("ascii"))
+    assert h.number_of_nodes() == g.n
+    assert sorted(tuple(sorted(e)) for e in h.edges()) == list(g.edges())
+
+
 def test_stream_graph6_reports_line_numbers():
     lines = ["A_", "", "C~", "A!"]
     it = stream_graph6(lines, source="corpus.g6")
-    assert next(it).n == 2
-    assert next(it).n == 4
+    where, g = next(it)
+    assert where == "corpus.g6:1" and g.n == 2
+    where, g = next(it)
+    assert where == "corpus.g6:3" and g.n == 4
     with pytest.raises(GraphFormatError, match=r"corpus\.g6:4"):
         next(it)
 
@@ -125,9 +147,9 @@ def test_generate_family():
     assert (k4.n, k4.m) == (4, 6)
     c5 = generate_family("cycle", 5)
     assert (c5.n, c5.m) == (5, 5) and is_regular(c5) == 2
-    k23 = generate_family("complete_bipartite", 2, 3)
+    k23 = generate_family("bipartite", 2, 3)
     assert (k23.n, k23.m) == (5, 6)
-    assert generate_family("bipartite", 2, 3) == k23
+    assert k23 == complete_bipartite_graph(2, 3)
     assert generate_family("star", 5) == star_graph(5)
     assert generate_family("path", 4) == path_graph(4)
     with pytest.raises(ValueError):
