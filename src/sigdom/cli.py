@@ -32,6 +32,7 @@ from .graphs import (
     max_degree,
     min_degree,
     parse_edge_list,
+    parse_graph6,
     stream_graph6,
     write_graph6,
 )
@@ -178,7 +179,7 @@ def _records(args) -> Iterator[tuple[str, Graph] | _UsageError]:
         yield _UsageError(str(exc) if args.format == "graph6" else f"{source}: {exc}")
 
 
-def _located(fn: Callable, record: tuple[str, Graph] | _UsageError):
+def _located(fn: Callable, record: tuple[str, Graph | str] | _UsageError):
     """fn(graph) for one record, or its located error, returned in place."""
     if isinstance(record, _UsageError):
         return record
@@ -189,21 +190,30 @@ def _located(fn: Callable, record: tuple[str, Graph] | _UsageError):
         return _UsageError(f"{where}: {exc}")
 
 
+def _from_graph6(fn: Callable, g6: str):
+    """fn of the graph a pool record carries as its graph6 string."""
+    return fn(parse_graph6(g6))
+
+
 def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
     """Yield fn(graph) for each record in input order, computed here for one
     job and on ``jobs`` worker processes otherwise.  The first error record
     is raised after the results before it; pending work is cancelled."""
     if jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    located = partial(_located, fn)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         if pool is None:
-            results = map(located, records)
+            results = map(partial(_located, fn), records)
         else:
             # pool.map submits every record before it yields a result: list
-            # them first, or finished results pile up here while they are built
-            results = pool.map(located, list(records), chunksize=4)
+            # them first, or finished results pile up here while they are
+            # built.  Every record fits graph6, and listed so they take less
+            # memory than Graphs.
+            listed = [r if isinstance(r, _UsageError) else (r[0], write_graph6(r[1]))
+                      for r in records]
+            results = pool.map(partial(_located, partial(_from_graph6, fn)), listed,
+                               chunksize=4)
         for result in results:
             if isinstance(result, _UsageError):
                 raise result

@@ -90,6 +90,8 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 _G6_HEADER_PREFIX = ">>graph6<<"
+#: The most vertices a graph6 short-form record can carry.
+GRAPH6_MAX_N = 62
 
 
 def write_graph6(g: Graph) -> str:
@@ -99,8 +101,10 @@ def write_graph6(g: Graph) -> str:
     (0,1),(0,2),(1,2),(0,3),... packed big-endian into 6-bit groups, each
     offset by 63.
     """
-    if g.n > 62:
-        raise GraphFormatError("graph6 short form supports at most 62 vertices")
+    if g.n > GRAPH6_MAX_N:
+        raise GraphFormatError(
+            f"graph6 short form supports at most {GRAPH6_MAX_N} vertices"
+        )
     out = [chr(63 + g.n)]
     group = 0
     nbits = 0
@@ -176,7 +180,9 @@ def stream_graph6(
 def parse_edge_list(text: str) -> Graph:
     """Parse "n  u v  u v ..." (whitespace separated) into a Graph.
 
-    Rejects out-of-range endpoints, self-loops and duplicate edges.
+    Rejects out-of-range endpoints, self-loops, duplicate edges and, before
+    anything is allocated for it, a vertex count above GRAPH6_MAX_N: every
+    graph read has a graph6 id.
     """
     tokens = text.split()
     if not tokens:
@@ -187,6 +193,8 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"vertex count {tokens[0]!r} is not an integer") from exc
     if n < 0:
         raise GraphFormatError("vertex count must be non-negative")
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"vertex count {n} is above the graph6 limit {GRAPH6_MAX_N}")
     rest = tokens[1:]
     if len(rest) % 2:
         raise GraphFormatError("dangling endpoint: edges must come in pairs")

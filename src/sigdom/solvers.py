@@ -383,15 +383,20 @@ def st2in(g: Graph) -> ParameterResult:
     return _signed_cover(g, NEGATIVE_DECISION)
 
 
-def enumerate_maximum_istdfs(g: Graph) -> list[SignedFunction]:
+def enumerate_maximum_istdfs(
+    g: Graph, optimum: int | None = None
+) -> list[SignedFunction]:
     """All labellings achieving istdn(g), sorted by value vector.
 
     These are the minimum covers of the istdn demand, found by the cover
     search with its bound pinned one above the minimum minus-set size.
+    ``optimum``, when given, must be istdn(g); it spares the solve.
     """
     _require_positive_min_degree(g)
     _require_size(g, ENUMERATION_SIZE_CAP, "optimum enumeration")
-    size = (g.n - istdn(g).value) // 2
+    if optimum is None:
+        optimum = istdn(g).value
+    size = (g.n - optimum) // 2
     _, demand = _signed_demand(g, INVERSE_SIGNED_TOTAL)
     covers, _ = _cover_search(g, demand, size + 1, None)
     found = sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)

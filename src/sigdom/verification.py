@@ -1,10 +1,14 @@
 """Checkers that re-verify each proved inequality or identity on a graph.
 
 Each checker consumes one graph, runs the exact solvers it needs, and emits
-a CheckReport; run_suite folds reports over a corpus.  Inequalities compare
-exact integers or Fractions; the only floating-point comparison is the
-square-root bound of the clique-constrained check, and even that goes exact
-whenever the radicand is a perfect square.
+a CheckReport; run_suite folds reports over a corpus.  The checks on one
+graph share a GraphFacts: its graph6 id, degree and connectivity tests,
+clique number, istdn optimum and tree structure are each computed once, on
+first use, and read by every check after that.  The regular-graph
+identities still take their signed side from their own labelling search.
+Inequalities compare exact integers or Fractions; the only floating-point
+comparison is the square-root bound of the clique-constrained check, and
+even that goes exact whenever the radicand is a perfect square.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from collections.abc import Callable, Iterable
 
 from .constructions import (
+    TreeStructure,
     floor_family_membership,
     leaf_floor,
     tree_structure,
@@ -28,7 +33,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_regular,
-    is_tree,
     min_degree,
     write_graph6,
 )
@@ -36,6 +40,7 @@ from .solvers import (
     INVERSE_SIGNED_TOTAL,
     NEGATIVE_DECISION,
     SIGNED_TOTAL,
+    ParameterResult,
     enumerate_maximum_istdfs,
     istdn,
     ktuple_chain,
@@ -152,21 +157,90 @@ def _inapplicable(check_id: str, gid: str, why: str) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Individual checks
+# Facts shared by the checks on one graph
 # ---------------------------------------------------------------------------
 
 
-def check_total_domination_upper(g: Graph) -> CheckReport:
+class GraphFacts:
+    """What the checks ask of one graph, each fact computed on first use.
+
+    A fact calls the graph function or solver behind it through this
+    module's globals, so a wrapper or stub put there sees every call; each
+    later check on the same GraphFacts reads the stored value.  A fact that
+    raises is not stored.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+
+    @cached_property
+    def graph6(self) -> str:
+        return write_graph6(self.graph)
+
+    @cached_property
+    def min_degree(self) -> int:
+        """Raises ValueError on the empty graph, which has no degrees."""
+        return min_degree(self.graph)
+
+    @cached_property
+    def regular_degree(self) -> int | None:
+        return is_regular(self.graph)
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @cached_property
+    def tree(self) -> bool:
+        """Whether the graph is a tree on at least 2 vertices."""
+        g = self.graph
+        return g.n >= 2 and g.m == g.n - 1 and self.connected
+
+    @cached_property
+    def clique_number(self) -> int:
+        return clique_number(self.graph)
+
+    @cached_property
+    def istdn(self) -> ParameterResult:
+        return istdn(self.graph)
+
+    @cached_property
+    def tree_structure(self) -> TreeStructure:
+        return tree_structure(self.graph)
+
+
+def _facts(g: Graph | GraphFacts) -> GraphFacts:
+    return g if isinstance(g, GraphFacts) else GraphFacts(g)
+
+
+def _regular_obstacle(facts: GraphFacts) -> str | None:
+    """Why the graph is not connected and r-regular with r >= 1, or None."""
+    if facts.regular_degree is None:
+        return "graph is not regular"
+    if not facts.connected:
+        return "graph is not connected"
+    if facts.regular_degree < 1:
+        return "isolated vertex"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Individual checks: each takes a Graph or the GraphFacts of one
+# ---------------------------------------------------------------------------
+
+
+def check_total_domination_upper(g: Graph | GraphFacts) -> CheckReport:
     """istdn <= n - 2*ceil((2*gamma_t + delta - 2) / 2) on connected graphs."""
-    gid = write_graph6(g)
-    if not is_connected(g):
+    facts = _facts(g)
+    gid = facts.graph6
+    if not facts.connected:
         return _inapplicable("t22", gid, "graph is not connected")
-    if min_degree(g) < 1:
+    delta = facts.min_degree
+    if delta < 1:
         return _inapplicable("t22", gid, "isolated vertex")
-    lhs = istdn(g).value
-    gamma_t = total_domination(g).value
-    delta = min_degree(g)
-    rhs = g.n - 2 * _ceil_div(2 * gamma_t + delta - 2, 2)
+    lhs = facts.istdn.value
+    gamma_t = total_domination(facts.graph).value
+    rhs = facts.graph.n - 2 * _ceil_div(2 * gamma_t + delta - 2, 2)
     return CheckReport(
         "t22",
         gid,
@@ -186,32 +260,34 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def check_clique_constrained_upper(g: Graph, r: int) -> CheckReport:
+def check_clique_constrained_upper(g: Graph | GraphFacts, r: int) -> CheckReport:
     """istdn upper bound for graphs with no (r+1)-clique.
 
     rhs = n - r/(r-1) * (-c + sqrt(c^2 + 4*(r-1)/r*c*n)) with c = ceil(delta/2).
     Exact rational arithmetic whenever the radicand is a perfect square,
     float with a 1e-9 tolerance otherwise.
     """
-    gid = write_graph6(g)
+    facts = _facts(g)
+    gid = facts.graph6
     if r < 2:
         raise ValueError("clique bound needs r >= 2")
-    if g.n == 0 or min_degree(g) < 1:
+    n = facts.graph.n
+    if n == 0 or facts.min_degree < 1:
         return _inapplicable("turan", gid, "isolated vertex")
-    omega = clique_number(g)
+    omega = facts.clique_number
     if omega > r:
         return _inapplicable("turan", gid, f"contains a {omega}-clique > r={r}")
-    c = _ceil_div(min_degree(g), 2)
-    radicand = Fraction(c * c) + Fraction(4 * (r - 1) * c * g.n, r)
-    lhs = istdn(g).value
+    c = _ceil_div(facts.min_degree, 2)
+    radicand = Fraction(c * c) + Fraction(4 * (r - 1) * c * n, r)
+    lhs = facts.istdn.value
     root = _exact_sqrt(radicand)
     if root is not None:
-        rhs = g.n - Fraction(r, r - 1) * (-c + root)
+        rhs = n - Fraction(r, r - 1) * (-c + root)
         holds = Fraction(lhs) <= rhs
         sharp = Fraction(lhs) == rhs
         note = "exact"
     else:
-        rhs = g.n - (r / (r - 1)) * (-c + math.sqrt(float(radicand)))
+        rhs = n - (r / (r - 1)) * (-c + math.sqrt(float(radicand)))
         holds = lhs <= rhs + TURAN_EPS
         sharp = abs(lhs - rhs) <= TURAN_EPS
         note = f"float eps={TURAN_EPS}"
@@ -220,7 +296,7 @@ def check_clique_constrained_upper(g: Graph, r: int) -> CheckReport:
     )
 
 
-def check_regular_identities(g: Graph) -> CheckReport:
+def check_regular_identities(g: Graph | GraphFacts) -> CheckReport:
     """On a connected r-regular graph the three signed optima collapse to
     tuple-domination counts:
 
@@ -230,29 +306,29 @@ def check_regular_identities(g: Graph) -> CheckReport:
 
     and consequently istdn = -stdn for odd r, istdn = st2in for even r.
 
-    The signed side comes from the labelling search ``optimize_signed``: the
-    istdn/stdn/st2in solvers reduce to the same cover engine as the tuple
-    minima, with constant demand here, so they would check nothing.
+    The signed side comes from the labelling search ``optimize_signed``, not
+    from the shared istdn fact: the istdn/stdn/st2in solvers reduce to the
+    same cover engine as the tuple minima, with constant demand here, so
+    they would check nothing.
     """
-    gid = write_graph6(g)
-    r = is_regular(g)
-    if r is None:
-        return _inapplicable("regular_identities", gid, "graph is not regular")
-    if not is_connected(g):
-        return _inapplicable("regular_identities", gid, "graph is not connected")
-    if r < 1:
-        return _inapplicable("regular_identities", gid, "isolated vertex")
-    n = g.n
+    facts = _facts(g)
+    gid = facts.graph6
+    why = _regular_obstacle(facts)
+    if why is not None:
+        return _inapplicable("regular_identities", gid, why)
+    graph = facts.graph
+    r = facts.regular_degree
+    n = graph.n
     up = _ceil_div(r, 2)
     up1 = _ceil_div(r + 1, 2)
     down = r // 2
-    chain = [res.value for res in ktuple_chain(g, up1)]
+    chain = [res.value for res in ktuple_chain(graph, up1)]
     gamma_up = chain[up - 1]
     gamma_up1 = chain[up1 - 1]
     gamma_down = chain[down - 1] if down >= 1 else 0
-    ist = optimize_signed(g, INVERSE_SIGNED_TOTAL).value
-    std = optimize_signed(g, SIGNED_TOTAL).value
-    s2 = optimize_signed(g, NEGATIVE_DECISION).value
+    ist = optimize_signed(graph, INVERSE_SIGNED_TOTAL).value
+    std = optimize_signed(graph, SIGNED_TOTAL).value
+    s2 = optimize_signed(graph, NEGATIVE_DECISION).value
     eqs = {
         "istdn": ist == n - 2 * gamma_up,
         "stdn": std == 2 * gamma_up1 - n,
@@ -269,26 +345,24 @@ def check_regular_identities(g: Graph) -> CheckReport:
     )
 
 
-def check_regular_interval(g: Graph) -> CheckReport:
+def check_regular_interval(g: Graph | GraphFacts) -> CheckReport:
     """Parity-dependent closed interval for istdn of a connected r-regular
     graph: [(1-r)/(1+r)*n, 0] for even r, [-(r^2+1)/(r^2+2r-1)*n, -n/r] for
     odd r.  Exact rational comparison."""
-    gid = write_graph6(g)
-    r = is_regular(g)
-    if r is None:
-        return _inapplicable("regular_bounds", gid, "graph is not regular")
-    if not is_connected(g):
-        return _inapplicable("regular_bounds", gid, "graph is not connected")
-    if r < 1:
-        return _inapplicable("regular_bounds", gid, "isolated vertex")
-    n = g.n
+    facts = _facts(g)
+    gid = facts.graph6
+    why = _regular_obstacle(facts)
+    if why is not None:
+        return _inapplicable("regular_bounds", gid, why)
+    r = facts.regular_degree
+    n = facts.graph.n
     if r % 2 == 0:
         lo = Fraction(1 - r, 1 + r) * n
         hi = Fraction(0)
     else:
         lo = -Fraction(r * r + 1, r * r + 2 * r - 1) * n
         hi = -Fraction(n, r)
-    ist = Fraction(istdn(g).value)
+    ist = Fraction(facts.istdn.value)
     holds = lo <= ist <= hi
     sharp = ist == lo or ist == hi
     side = "lower" if ist == lo else "upper" if ist == hi else "interior"
@@ -310,17 +384,17 @@ def is_heawood_certificate(g: Graph) -> bool:
     )
 
 
-def check_cubic_floor(g: Graph) -> CheckReport:
+def check_cubic_floor(g: Graph | GraphFacts) -> CheckReport:
     """istdn >= -2n/3 for every connected cubic graph except the one
     14-vertex bipartite girth-6 exception, which is reported, not failed."""
-    gid = write_graph6(g)
-    if is_regular(g) != 3:
-        return _inapplicable("cubic", gid, "graph is not cubic")
-    if not is_connected(g):
-        return _inapplicable("cubic", gid, "graph is not connected")
-    ist = Fraction(istdn(g).value)
-    floor = Fraction(-2 * g.n, 3)
-    if is_heawood_certificate(g):
+    facts = _facts(g)
+    gid = facts.graph6
+    why = "graph is not cubic" if facts.regular_degree != 3 else _regular_obstacle(facts)
+    if why is not None:
+        return _inapplicable("cubic", gid, why)
+    ist = Fraction(facts.istdn.value)
+    floor = Fraction(-2 * facts.graph.n, 3)
+    if is_heawood_certificate(facts.graph):
         return CheckReport(
             "cubic",
             gid,
@@ -336,19 +410,20 @@ def check_cubic_floor(g: Graph) -> CheckReport:
     )
 
 
-def check_leaf_condition(t: Graph) -> CheckReport:
+def check_leaf_condition(t: Graph | GraphFacts) -> CheckReport:
     """Some maximum inverse-signed labelling gives +1 to at least
     floor(l_i/2) leaves of every support vertex."""
-    gid = write_graph6(t)
-    if not is_tree(t) or t.n < 2:
+    facts = _facts(t)
+    gid = facts.graph6
+    if not facts.tree:
         return _inapplicable("lemma42", gid, "not a tree on >= 2 vertices")
-    if t.n > LEAF_CONDITION_ORDER_CAP:
+    if facts.graph.n > LEAF_CONDITION_ORDER_CAP:
         return _inapplicable(
             "lemma42", gid, f"order above enumeration cap {LEAF_CONDITION_ORDER_CAP}"
         )
-    ts = tree_structure(t)
+    ts = facts.tree_structure
     best_shortfall = None
-    for f in enumerate_maximum_istdfs(t):
+    for f in enumerate_maximum_istdfs(facts.graph, optimum=facts.istdn.value):
         shortfall = min(
             sum(1 for u in ts.leaf_groups[v] if f.values[u] == 1) - c // 2
             for v, c in zip(ts.supports, ts.leaf_counts)
@@ -369,14 +444,15 @@ def check_leaf_condition(t: Graph) -> CheckReport:
     )
 
 
-def check_tree_floor(t: Graph) -> CheckReport:
+def check_tree_floor(t: Graph | GraphFacts) -> CheckReport:
     """istdn >= leaf floor, with equality exactly on the structural family."""
-    gid = write_graph6(t)
-    if not is_tree(t) or t.n < 2:
+    facts = _facts(t)
+    gid = facts.graph6
+    if not facts.tree:
         return _inapplicable("t43", gid, "not a tree on >= 2 vertices")
-    ts = tree_structure(t)
+    ts = facts.tree_structure
     floor = leaf_floor(ts)
-    ist = istdn(t).value
+    ist = facts.istdn.value
     member, reason = floor_family_membership(ts)
     holds = ist >= floor and ((ist == floor) == member)
     return CheckReport(
@@ -404,7 +480,7 @@ CHECK_IDS: tuple[str, ...] = (
     "t43",
 )
 
-_PLAIN_CHECKS: dict[str, Callable[[Graph], CheckReport]] = {
+_PLAIN_CHECKS: dict[str, Callable[[GraphFacts], CheckReport]] = {
     "t22": check_total_domination_upper,
     "regular_identities": check_regular_identities,
     "regular_bounds": check_regular_interval,
@@ -414,21 +490,27 @@ _PLAIN_CHECKS: dict[str, Callable[[Graph], CheckReport]] = {
 }
 
 
-def evaluate_check(check_id: str, g: Graph, *, turan_r: int | None = None) -> CheckReport:
-    """Run a single check by id; for "turan" with no explicit r, use the
-    smallest admissible r = max(2, clique number)."""
+def evaluate_check(
+    check_id: str, g: Graph | GraphFacts, *, turan_r: int | None = None
+) -> CheckReport:
+    """Run a single check by id on a graph or on the shared facts of one;
+    for "turan" with no explicit r, use the smallest admissible
+    r = max(2, clique number)."""
+    facts = _facts(g)
     if check_id == "turan":
-        r = turan_r if turan_r is not None else max(2, clique_number(g))
-        return check_clique_constrained_upper(g, r)
+        r = turan_r if turan_r is not None else max(2, facts.clique_number)
+        return check_clique_constrained_upper(facts, r)
     if check_id not in _PLAIN_CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
-    return _PLAIN_CHECKS[check_id](g)
+    return _PLAIN_CHECKS[check_id](facts)
 
 
 def _evaluate_checks(
     check_ids: list[str], turan_r: int | None, g: Graph
 ) -> list[CheckReport]:
-    return [evaluate_check(cid, g, turan_r=turan_r) for cid in check_ids]
+    """One graph's reports; its checks share one GraphFacts."""
+    facts = GraphFacts(g)
+    return [evaluate_check(cid, facts, turan_r=turan_r) for cid in check_ids]
 
 
 def run_suite(

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -168,7 +169,7 @@ def test_verify_file_input(capsys, monkeypatch, tmp_path):
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
     from sigdom import verification
 
-    fake = lambda g: CheckReport("t22", write_graph6(g), 1, 0, False, False)
+    fake = lambda facts: CheckReport("t22", facts.graph6, 1, 0, False, False)
     monkeypatch.setitem(verification._PLAIN_CHECKS, "t22", fake)
     code, out, _ = run_cli(
         capsys, monkeypatch, ["verify", "--suite", "t22"], stdin="A_\n"
@@ -176,6 +177,24 @@ def test_verify_exit_code_on_violation(capsys, monkeypatch):
     assert code == 1
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["failures"] == [{"check_id": "t22", "graph_id": "A_"}]
+
+
+@pytest.mark.parametrize("source", [["--input", CUBIC], ["--trees-up-to", "9"]])
+def test_verify_computes_each_fact_once_per_graph(capsys, monkeypatch, source):
+    from sigdom import verification
+
+    calls = collections.Counter()
+    for name in ("istdn", "write_graph6", "clique_number", "tree_structure"):
+        def counted(g, *args, _name=name, _real=getattr(verification, name), **kwargs):
+            calls[_name, g] += 1
+            return _real(g, *args, **kwargs)
+        monkeypatch.setattr(verification, name, counted)
+    code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--suite", "all", *source])
+    assert code == 0
+    graphs = {parse_graph6(json.loads(line)["graph_id"]) for line in out.splitlines()[:-1]}
+    assert len(graphs) == (27 if source[0] == "--input" else 94)
+    assert all(calls["write_graph6", g] == 1 and calls["istdn", g] == 1 for g in graphs)
+    assert max(calls.values()) == 1
 
 
 def test_verify_turan_r_flag(capsys, monkeypatch):
@@ -270,6 +289,10 @@ CONTRACT_CASES = {
         ["verify", "--suite", "t22", "--format", "edgelist"], "x\n", "<stdin>"
     ),
     "edgelist-empty": (["compute", "--param", "td", "--format", "edgelist"], "", "<stdin>"),
+    # refused before a graph is allocated: 10**9 vertices would need ~16 GB
+    "edgelist-count-above-graph6": (
+        ["compute", "--param", "td", "--format", "edgelist"], f"{10**9}\n", "<stdin>"
+    ),
 }
 
 

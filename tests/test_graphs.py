@@ -140,6 +140,9 @@ def test_parse_edge_list():
         parse_edge_list("3\n0 1 2")
     with pytest.raises(GraphFormatError, match="integer"):
         parse_edge_list("x")
+    assert parse_edge_list("62").n == 62
+    with pytest.raises(GraphFormatError, match="graph6 limit 62"):
+        parse_edge_list("63")
 
 
 def test_generate_family():

@@ -200,6 +200,19 @@ def test_run_suite_on_trees():
     assert len(reports) == 2 * n_trees
 
 
+def test_shared_facts_change_no_report(connected_upto8, cubic_upto10, quartic_5to9):
+    # oracle: each check alone on a fresh copy of the graph, sharing nothing
+    trees = [t for n in range(2, 10) for t in free_trees(n)]
+    corpus = cubic_upto10 + quartic_5to9 + trees + connected_upto8[:500]
+    shared = []
+    run_suite(corpus, CHECK_IDS, on_report=shared.append)
+    alone = [
+        evaluate_check(cid, Graph(g.n, g.edges())) for g in corpus for cid in CHECK_IDS
+    ]
+    assert [r.json_line() for r in shared] == [r.json_line() for r in alone]
+    assert shared == alone
+
+
 def test_run_suite_sharp_on_complete_and_cycles():
     corpus = [complete_graph(n) for n in range(2, 11)]
     corpus += [cycle_graph(n) for n in range(3, 17)]
