@@ -26,13 +26,18 @@ from .constructions import (
     build_prescribed_weight_tree,
 )
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     GraphFormatError,
-    generate_family,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
     max_degree,
     min_degree,
     parse_edge_list,
     parse_graph6,
+    path_graph,
+    star_graph,
     stream_graph6,
     write_graph6,
 )
@@ -296,29 +301,40 @@ def _describe_construction(name: str, params: list[int], g: Graph) -> dict:
     return info
 
 
+#: name -> (parameter count, vertex count from the parameters, builder)
+_CONSTRUCTIONS = {
+    "hr": (1, lambda r: r * r * (r - 1), lambda r: build_matched_multipartite(r).graph),
+    "prop41": (1, lambda k: 3 * k + 4 if k >= 0 else -9 * k,
+               build_prescribed_weight_tree),
+    "heawood": (0, lambda: 14, build_heawood),
+    "complete": (1, lambda n: n, complete_graph),
+    "cycle": (1, lambda n: n, cycle_graph),
+    "path": (1, lambda n: n, path_graph),
+    "star": (1, lambda n: n, star_graph),
+    "bipartite": (2, lambda m, n: m + n, complete_bipartite_graph),
+}
+
+
 def _cmd_construct(args) -> int:
     name = args.family[0]
     try:
         params = [int(tok) for tok in args.family[1:]]
     except ValueError as exc:
         raise _UsageError(f"family parameters must be integers: {exc}") from exc
+    if name not in _CONSTRUCTIONS:
+        raise _UsageError(f"unknown family {name!r}")
+    arity, order, build = _CONSTRUCTIONS[name]
+    if len(params) != arity:
+        raise _UsageError(f"family {name} takes {arity} parameter(s)")
+    # refused before it is built: cycle 10**6 alone would take gigabytes
+    n = order(*params)
+    if n > GRAPH6_MAX_N:
+        raise _UsageError(
+            f"family {name} {' '.join(map(str, params))} has {n} vertices, "
+            f"above the graph6 limit {GRAPH6_MAX_N}"
+        )
     try:
-        if name == "hr":
-            if len(params) != 1:
-                raise _UsageError("family hr takes one parameter r")
-            g = build_matched_multipartite(params[0]).graph
-        elif name == "prop41":
-            if len(params) != 1:
-                raise _UsageError("family prop41 takes one parameter k")
-            g = build_prescribed_weight_tree(params[0])
-        elif name == "heawood":
-            if params:
-                raise _UsageError("family heawood takes no parameters")
-            g = build_heawood()
-        elif name in ("complete", "cycle", "path", "star", "bipartite"):
-            g = generate_family(name, *params)
-        else:
-            raise _UsageError(f"unknown family {name!r}")
+        g = build(*params)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     print(write_graph6(g))

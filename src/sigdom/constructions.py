@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .graphs import Graph, is_tree, max_degree
 
-PRESCRIBED_TREE_ORDER_CAP = 40
-
 
 # ---------------------------------------------------------------------------
 # Leaf / support decomposition of a tree
@@ -219,19 +217,7 @@ def build_prescribed_weight_tree(k: int) -> Graph:
             k interior vertices 3..k+2 (1-based), order 3k+4.
     k <= -1: |k| spiders (a 3-path with two leaves on each vertex), their
             middle vertices joined in a path, order 9|k|.
-
-    Capped at order 40 to keep diagnostics quick.
     """
-    if k == 0:
-        order = 4
-    elif k > 0:
-        order = 3 * k + 4
-    else:
-        order = 9 * (-k)
-    if order > PRESCRIBED_TREE_ORDER_CAP:
-        raise ValueError(
-            f"requested tree has {order} > {PRESCRIBED_TREE_ORDER_CAP} vertices"
-        )
     if k == 0:
         return Graph(4, [(0, 1), (1, 2), (2, 3)])
     if k > 0:

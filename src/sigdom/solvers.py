@@ -15,47 +15,27 @@ three signed problems are covers too:
 ``optimize_signed`` is kept as an independent search over the labellings
 themselves.  On an r-regular graph the signed demands are constant, so the
 regular-graph identities take their signed side from it; from the cover
-engine they would compare that engine with itself.  All searches are exact,
-deterministic, and sized for desk-scale graphs (caps overridable through
-SIGDOM_NODE_CAP).
+engine they would compare that engine with itself.  All searches are exact
+and deterministic; each one gives up with a ValueError once it has explored
+more than SEARCH_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .graphs import Graph, max_degree, min_degree
 
-SIGNED_SIZE_CAP = 30
-ENUMERATION_SIZE_CAP = 24
-SUBSET_SIZE_CAP = 30
-
-_ENV_CAP = "SIGDOM_NODE_CAP"
-
-
-def _size_cap(default: int) -> int:
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
+#: The most nodes one search may explore.  Work, not vertex count, decides
+#: what is out of reach: hr(4) (n = 48) closes at the root, while some
+#: 28-vertex graphs need millions of nodes.
+SEARCH_NODE_BUDGET = 10_000_000
 
 
 def _require_positive_min_degree(g: Graph) -> None:
     if g.n == 0 or min_degree(g) == 0:
         raise ValueError("isolated vertex: solvers need minimum degree >= 1")
-
-
-def _require_size(g: Graph, default_cap: int, what: str) -> None:
-    cap = _size_cap(default_cap)
-    if g.n > cap:
-        raise ValueError(
-            f"{what} capped at n <= {cap} (set {_ENV_CAP} to override)"
-        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +135,6 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     always-feasible uniform labelling, so the search is never unseeded.
     """
     _require_positive_min_degree(g)
-    _require_size(g, SIGNED_SIZE_CAP, "signed solver")
     n = g.n
     order = _branch_order(g.degrees())
     le = problem.sense == "le"
@@ -170,6 +149,7 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     labeled = [0] * n          # sum of labelled neighbours
     slack = list(g.degrees())  # number of unlabelled neighbours
     nodes = 0
+    budget = SEARCH_NODE_BUDGET
     first = 1 if maximize else -1
     neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
 
@@ -195,6 +175,8 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
             if not maximize and optimistic >= best:
                 continue
             nodes += 1
+            if nodes > budget:
+                raise ValueError(f"labelling search passed the {budget}-node budget")
             vals[u] = s
             ok = True
             for v in neighbor_lists[u]:
@@ -284,6 +266,7 @@ def _cover_search(
     outstanding = sum(demand)
     covers: list[frozenset[int]] = []
     nodes = 0
+    budget = SEARCH_NODE_BUDGET
 
     def dfs(i: int) -> None:
         nonlocal best, nodes, outstanding
@@ -303,6 +286,8 @@ def _cover_search(
         u = order[i]
         nbrs = neighbor_lists[u]
         nodes += 2
+        if nodes > budget:
+            raise ValueError(f"cover search passed the {budget}-node budget")
         settled = 0
         for v in nbrs:
             need[v] -= 1
@@ -358,7 +343,6 @@ def _signed_demand(g: Graph, problem: SignedProblem) -> tuple[int, list[int]]:
 
 def _signed_cover(g: Graph, problem: SignedProblem) -> ParameterResult:
     _require_positive_min_degree(g)
-    _require_size(g, SIGNED_SIZE_CAP, "signed solver")
     sign, demand = _signed_demand(g, problem)
     lower = max(max(demand), -(-sum(demand) // max_degree(g)))
     res = _solve_ktuple(g, demand, lower)
@@ -393,7 +377,6 @@ def enumerate_maximum_istdfs(
     ``optimum``, when given, must be istdn(g); it spares the solve.
     """
     _require_positive_min_degree(g)
-    _require_size(g, ENUMERATION_SIZE_CAP, "optimum enumeration")
     if optimum is None:
         optimum = istdn(g).value
     size = (g.n - optimum) // 2
@@ -416,7 +399,6 @@ def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
     hence the minima ascend by at least one per level).
     """
     _require_positive_min_degree(g)
-    _require_size(g, SUBSET_SIZE_CAP, "subset solver")
     delta = min_degree(g)
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")

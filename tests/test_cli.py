@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigdom import cli
+from sigdom import cli, solvers
 from sigdom.constructions import build_matched_multipartite
 from sigdom.graphs import (
     cycle_graph,
@@ -63,6 +63,37 @@ def test_construct_bad_family(capsys, monkeypatch):
     assert code == 2 and "cycle" in err
     code, _, err = run_cli(capsys, monkeypatch, ["construct", "--family", "hr", "1"])
     assert code == 2
+    # refused from the parameters alone, before anything is built
+    for family in (["cycle", "1000000"], ["hr", "100"]):
+        code, out, err = run_cli(capsys, monkeypatch, ["construct", "--family", *family])
+        assert code == 2 and out == "" and "above the graph6 limit 62" in err
+
+
+def test_construct_order_limit_is_graph6(capsys, monkeypatch):
+    fits = {
+        ("prop41", "19"): 61, ("prop41", "-6"): 54, ("hr", "4"): 48,
+        ("heawood",): 14, ("complete", "62"): 62, ("bipartite", "31", "31"): 62,
+        ("cycle", "62"): 62, ("path", "62"): 62, ("star", "62"): 62,
+    }
+    for family, n in fits.items():
+        code, out, _ = run_cli(capsys, monkeypatch, ["construct", "--family", *family])
+        assert code == 0 and parse_graph6(out).n == n, family
+    _, tree, _ = run_cli(capsys, monkeypatch, ["construct", "--family", "prop41", "19"])
+    _, out, _ = run_cli(capsys, monkeypatch, ["compute", "--param", "istdn"], stdin=tree)
+    assert json.loads(out)["value"] == 19
+    for family in (["prop41", "20"], ["prop41", "-7"], ["bipartite", "31", "32"],
+                   ["complete", "63"]):
+        code, out, err = run_cli(capsys, monkeypatch, ["construct", "--family", *family])
+        assert code == 2 and out == "" and "above the graph6 limit 62" in err, family
+
+
+def test_turan_is_sharp_on_hr4(capsys, monkeypatch):
+    _, hr4, _ = run_cli(capsys, monkeypatch, ["construct", "--family", "hr", "4"])
+    code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--suite", "turan"], stdin=hr4)
+    report, summary = map(json.loads, out.splitlines())
+    assert code == 0
+    assert (report["lhs"], report["rhs"], report["sharp"]) == (24, 24, True)
+    assert summary["summary"]["turan"]["sharp"] == 1
 
 
 def test_compute_istdn_from_stdin(capsys, monkeypatch):
@@ -264,7 +295,8 @@ CONTRACT_CASES = {
     "ktd-k-above-degree": (
         ["compute", "--param", "ktd", "--k", "5", "--input", CUBIC], "", f"{CUBIC}:1"
     ),
-    "turan-above-size-cap": (["verify", "--suite", "turan"], HR4 + "\n", "<stdin>:1"),
+    # run under a budget of BUDGET_CASE_NODES; stdn(hr(4)) needs far more
+    "search-node-budget": (["compute", "--param", "stdn"], HR4 + "\n", "<stdin>:1"),
     "edgelist-empty-graph": (
         ["verify", "--suite", "all", "--format", "edgelist"], "0\n", "<stdin>"
     ),
@@ -296,8 +328,15 @@ CONTRACT_CASES = {
 }
 
 
-@pytest.mark.parametrize("argv, stdin, where", CONTRACT_CASES.values(), ids=CONTRACT_CASES)
-def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, stdin, where):
+BUDGET_CASE_NODES = 1000
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, case):
+    argv, stdin, where = CONTRACT_CASES[case]
+    if case == "search-node-budget":
+        # the pool's workers are forked from this process, so they inherit it
+        monkeypatch.setattr(solvers, "SEARCH_NODE_BUDGET", BUDGET_CASE_NODES)
     (tmp_path / "nonascii.g6").write_bytes("A_\ncaf\u00e9\n".encode("utf-8"))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     where = where.replace("{tmp}", str(tmp_path))

@@ -177,15 +177,6 @@ def test_prescribed_weight_tree_reaches_value(k):
     assert istdn(build_prescribed_weight_tree(k)).value == k
 
 
-def test_prescribed_weight_tree_order_cap():
-    with pytest.raises(ValueError, match="40"):
-        build_prescribed_weight_tree(13)  # order 43
-    with pytest.raises(ValueError, match="40"):
-        build_prescribed_weight_tree(-5)  # order 45
-    assert build_prescribed_weight_tree(12).n == 40
-    assert build_prescribed_weight_tree(-4).n == 36
-
-
 # ---------------------------------------------------------------------------
 # Leaf floor and its family
 # ---------------------------------------------------------------------------

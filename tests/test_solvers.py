@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigdom import solvers
 from sigdom.constructions import build_heawood, build_matched_multipartite
 from sigdom.graphs import (
     Graph,
@@ -111,16 +112,18 @@ def test_isolated_vertices_rejected():
         enumerate_maximum_istdfs(lonely)
 
 
-def test_size_cap_and_env_override(monkeypatch):
-    big = cycle_graph(29)
-    monkeypatch.setenv("SIGDOM_NODE_CAP", "10")
-    with pytest.raises(ValueError, match="SIGDOM_NODE_CAP"):
-        istdn(cycle_graph(12))
-    monkeypatch.setenv("SIGDOM_NODE_CAP", "40")
-    assert istdn(big).value == -1  # 29 % 4 == 1
-    monkeypatch.setenv("SIGDOM_NODE_CAP", "many")
-    with pytest.raises(ValueError, match="integer"):
-        istdn(big)
+def test_search_node_budget(monkeypatch):
+    # node counts on Heawood: the cover search through stdn, and the
+    # labelling search; each passes a budget one below its count
+    g = build_heawood()
+    for solve, nodes in ((stdn, 476), (lambda h: optimize_signed(h, SIGNED_TOTAL), 532)):
+        monkeypatch.setattr(solvers, "SEARCH_NODE_BUDGET", nodes - 1)
+        with pytest.raises(ValueError, match=f"passed the {nodes - 1}-node budget"):
+            solve(g)
+        for budget in (nodes, nodes + 1):
+            monkeypatch.setattr(solvers, "SEARCH_NODE_BUDGET", budget)
+            res = solve(g)
+            assert (res.value, res.nodes_explored) == (10, nodes)
 
 
 def test_witnesses_are_feasible_and_optimal():
