@@ -8,8 +8,6 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    edges_between,
-    generate_family,
     girth,
     is_bipartite,
     is_connected,

@@ -44,6 +44,12 @@ def tree_structure(t: Graph) -> TreeStructure:
     groups L_v, and the induced subgraph on S."""
     if t.n < 2 or not is_tree(t):
         raise ValueError("input must be a tree on at least 2 vertices")
+    return decompose_tree(t)
+
+
+def decompose_tree(t: Graph) -> TreeStructure:
+    """``tree_structure`` for a graph the caller already knows is a tree on
+    >= 2 vertices; it does not test that again."""
     leaves = frozenset(v for v in range(t.n) if t.degree(v) == 1)
     leaf_mask = 0
     for v in leaves:

@@ -250,28 +250,8 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
-_FAMILIES = {
-    "complete": (1, complete_graph),
-    "cycle": (1, cycle_graph),
-    "path": (1, path_graph),
-    "bipartite": (2, complete_bipartite_graph),
-    "star": (1, star_graph),
-}
-
-
-def generate_family(name: str, *params: int) -> Graph:
-    """Build one of the named families: complete n, cycle n, path n,
-    bipartite m n, star n."""
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    arity, builder = _FAMILIES[name]
-    if len(params) != arity:
-        raise ValueError(f"family {name!r} takes {arity} parameter(s)")
-    return builder(*params)
-
-
 # ---------------------------------------------------------------------------
-# Degrees, cuts, connectivity
+# Degrees and connectivity
 # ---------------------------------------------------------------------------
 
 
@@ -293,28 +273,6 @@ def is_regular(g: Graph) -> int | None:
     if degs and min(degs) == max(degs):
         return degs[0]
     return None
-
-
-def _as_mask(g: Graph, vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask
-
-
-def edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Number of edges with one endpoint in ``a`` and the other in ``b``.
-
-    The two sets must be disjoint; that is the only case the bound proofs
-    use, and overlap would make the count ambiguous.
-    """
-    ma = _as_mask(g, a)
-    mb = _as_mask(g, b)
-    if ma & mb:
-        raise ValueError("vertex sets overlap")
-    return sum((g.adj[v] & mb).bit_count() for v in _iter_bits(ma))
 
 
 def is_connected(g: Graph) -> bool:

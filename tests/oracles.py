@@ -83,3 +83,74 @@ def _connected(g: Graph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == g.n
+
+
+def free_trees_by_rooted_scan(n: int):
+    """Free trees on n >= 1 vertices by scanning every rooted tree.
+
+    Walks all canonical rooted level sequences in descending lexicographic
+    order and keeps the first one of each free tree, recognised by a
+    canonical code rooted at its centroid(s).  Yields ``Graph``s labelled in
+    preorder of the kept sequence.  Slow (every rooted tree is visited) but
+    shares no code with ``sigdom.trees``.
+    """
+    if n == 1:
+        yield Graph(1)
+        return
+    seen = set()
+    levels = list(range(n))
+    while True:
+        edges = []
+        stack = []
+        for v, depth in enumerate(levels):
+            del stack[depth:]
+            if stack:
+                edges.append((stack[-1], v))
+            stack.append(v)
+        neighbors = [[] for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        code = _centroid_code(n, neighbors)
+        if code not in seen:
+            seen.add(code)
+            yield Graph(n, edges)
+        # successor: last position p with depth >= 2, its parent position q,
+        # then tile the suffix with copies of the segment [q..p-1]
+        p = max((i for i in range(n) if levels[i] >= 2), default=-1)
+        if p < 0:
+            return
+        q = next(i for i in range(p - 1, -1, -1) if levels[i] == levels[p] - 1)
+        chunk = levels[q:p]
+        nxt = levels[:p]
+        while len(nxt) < n:
+            nxt.extend(chunk[: n - len(nxt)])
+        levels = nxt
+
+
+def _centroid_code(n: int, neighbors: list[list[int]]) -> tuple:
+    """Isomorphism code of a free tree: its nested-tuple rooted code at the
+    centroid, or the sorted pair of half-codes at two centroids."""
+    order, parent = [0], [-1] * n
+    for u in order:
+        for v in neighbors[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    size, heaviest = [1] * n, [0] * n
+    for u in reversed(order):
+        for v in neighbors[u]:
+            if v != parent[u]:
+                size[u] += size[v]
+                heaviest[u] = max(heaviest[u], size[v])
+        heaviest[u] = max(heaviest[u], n - size[u])
+    best = min(heaviest)
+    cents = [v for v in range(n) if heaviest[v] == best]
+
+    def rooted(root: int, block: int) -> tuple:
+        return tuple(sorted(rooted(v, root) for v in neighbors[root] if v != block))
+
+    if len(cents) == 1:
+        return ("c", rooted(cents[0], -1))
+    a, b = cents
+    return ("cc", *sorted((rooted(a, b), rooted(b, a))))

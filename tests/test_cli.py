@@ -215,7 +215,7 @@ def test_verify_computes_each_fact_once_per_graph(capsys, monkeypatch, source):
     from sigdom import verification
 
     calls = collections.Counter()
-    for name in ("istdn", "write_graph6", "clique_number", "tree_structure"):
+    for name in ("istdn", "write_graph6", "clique_number", "decompose_tree"):
         def counted(g, *args, _name=name, _real=getattr(verification, name), **kwargs):
             calls[_name, g] += 1
             return _real(g, *args, **kwargs)
