@@ -272,46 +272,20 @@ def _cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
-def _describe_construction(name: str, params: list[int], g: Graph) -> dict:
-    info = {
-        "family": name,
-        "params": params,
-        "n": g.n,
-        "m": g.m,
-        "min_degree": min_degree(g) if g.n else 0,
-        "max_degree": max_degree(g) if g.n else 0,
-    }
-    if name == "hr":
-        r = params[0]
-        info["expected_istdn"] = r * (r - 1) ** 2 - r * (r - 1)
-    elif name == "prop41":
-        info["expected_istdn"] = params[0]
-    elif name == "complete":
-        info["expected_istdn"] = -2 if params[0] % 2 == 0 else -1
-    elif name == "cycle":
-        info["expected_istdn"] = (0, -1, -2, -1)[params[0] % 4]
-    elif name == "bipartite":
-        m, n = params
-        if m % 2 == 0 and n % 2 == 0:
-            info["expected_istdn"] = 0
-        elif m % 2 == 1 and n % 2 == 1:
-            info["expected_istdn"] = -2
-        else:
-            info["expected_istdn"] = -1
-    return info
-
-
-#: name -> (parameter count, vertex count from the parameters, builder)
+#: name -> (parameter count, vertex count from the parameters, builder,
+#: istdn closed form or None)
 _CONSTRUCTIONS = {
-    "hr": (1, lambda r: r * r * (r - 1), lambda r: build_matched_multipartite(r).graph),
+    "hr": (1, lambda r: r * r * (r - 1), lambda r: build_matched_multipartite(r).graph,
+           lambda r: r * (r - 1) ** 2 - r * (r - 1)),
     "prop41": (1, lambda k: 3 * k + 4 if k >= 0 else -9 * k,
-               build_prescribed_weight_tree),
-    "heawood": (0, lambda: 14, build_heawood),
-    "complete": (1, lambda n: n, complete_graph),
-    "cycle": (1, lambda n: n, cycle_graph),
-    "path": (1, lambda n: n, path_graph),
-    "star": (1, lambda n: n, star_graph),
-    "bipartite": (2, lambda m, n: m + n, complete_bipartite_graph),
+               build_prescribed_weight_tree, lambda k: k),
+    "heawood": (0, lambda: 14, build_heawood, None),
+    "complete": (1, lambda n: n, complete_graph, lambda n: -2 + n % 2),
+    "cycle": (1, lambda n: n, cycle_graph, lambda n: (0, -1, -2, -1)[n % 4]),
+    "path": (1, lambda n: n, path_graph, None),
+    "star": (1, lambda n: n, star_graph, None),
+    "bipartite": (2, lambda m, n: m + n, complete_bipartite_graph,
+                  lambda m, n: -(m % 2) - (n % 2)),
 }
 
 
@@ -323,7 +297,7 @@ def _cmd_construct(args) -> int:
         raise _UsageError(f"family parameters must be integers: {exc}") from exc
     if name not in _CONSTRUCTIONS:
         raise _UsageError(f"unknown family {name!r}")
-    arity, order, build = _CONSTRUCTIONS[name]
+    arity, order, build, closed_istdn = _CONSTRUCTIONS[name]
     if len(params) != arity:
         raise _UsageError(f"family {name} takes {arity} parameter(s)")
     # refused before it is built: cycle 10**6 alone would take gigabytes
@@ -339,7 +313,17 @@ def _cmd_construct(args) -> int:
         raise _UsageError(str(exc)) from exc
     print(write_graph6(g))
     if args.describe:
-        print(json.dumps(_describe_construction(name, params, g)))
+        info = {
+            "family": name,
+            "params": params,
+            "n": g.n,
+            "m": g.m,
+            "min_degree": min_degree(g) if g.n else 0,
+            "max_degree": max_degree(g) if g.n else 0,
+        }
+        if closed_istdn is not None:
+            info["expected_istdn"] = closed_istdn(*params)
+        print(json.dumps(info))
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, is_tree, max_degree
+from .graphs import Graph, is_tree
 
 
 # ---------------------------------------------------------------------------
@@ -21,9 +21,9 @@ from .graphs import Graph, is_tree, max_degree
 class TreeStructure:
     """Leaves, support vertices and per-support leaf groups of a tree.
 
-    ``support_subgraph`` is the subgraph induced on the supports, relabelled
-    0..s-1 in ``supports`` order; ``outsiders`` are the vertices that are
-    neither leaves nor supports.
+    ``support_degree`` is the maximum degree of the subgraph induced on the
+    supports; ``outsiders`` are the vertices that are neither leaves nor
+    supports.
     """
 
     tree: Graph
@@ -31,7 +31,7 @@ class TreeStructure:
     supports: tuple[int, ...]
     leaf_groups: dict[int, frozenset[int]]
     leaf_counts: tuple[int, ...]
-    support_subgraph: Graph
+    support_degree: int
     outsiders: frozenset[int]
 
     @property
@@ -41,36 +41,20 @@ class TreeStructure:
 
 def tree_structure(t: Graph) -> TreeStructure:
     """Decompose a tree on >= 2 vertices into leaves L, supports S, the leaf
-    groups L_v, and the induced subgraph on S."""
+    groups L_v, and the maximum degree of the subgraph induced on S."""
     if t.n < 2 or not is_tree(t):
         raise ValueError("input must be a tree on at least 2 vertices")
-    return decompose_tree(t)
-
-
-def decompose_tree(t: Graph) -> TreeStructure:
-    """``tree_structure`` for a graph the caller already knows is a tree on
-    >= 2 vertices; it does not test that again."""
     leaves = frozenset(v for v in range(t.n) if t.degree(v) == 1)
-    leaf_mask = 0
-    for v in leaves:
-        leaf_mask |= 1 << v
-    supports = tuple(
-        v for v in range(t.n) if t.adj[v] & leaf_mask
-    )
+    leaf_mask = sum(1 << v for v in leaves)
+    supports = tuple(v for v in range(t.n) if t.adj[v] & leaf_mask)
+    support_mask = sum(1 << v for v in supports)
     groups = {
         v: frozenset(u for u in t.neighbors(v) if u in leaves) for v in supports
     }
     counts = tuple(len(groups[v]) for v in supports)
-    index = {v: i for i, v in enumerate(supports)}
-    sub_edges = [
-        (index[u], index[v])
-        for u in supports
-        for v in t.neighbors(u)
-        if v in index and u < v
-    ]
-    sub = Graph(len(supports), sub_edges)
+    support_degree = max((t.adj[v] & support_mask).bit_count() for v in supports)
     outsiders = frozenset(range(t.n)) - leaves - set(supports)
-    return TreeStructure(t, leaves, supports, groups, counts, sub, outsiders)
+    return TreeStructure(t, leaves, supports, groups, counts, support_degree, outsiders)
 
 
 def leaf_floor(ts: TreeStructure) -> int:
@@ -98,11 +82,10 @@ def floor_family_membership(ts: TreeStructure) -> tuple[bool, str]:
     small = [v for v, c in zip(ts.supports, ts.leaf_counts) if c < 2]
     if small:
         return False, f"fails (a): support {small[0]} has fewer than 2 leaves"
-    dt = max_degree(ts.support_subgraph) if ts.support_subgraph.n else 0
-    if dt > 1:
+    if ts.support_degree > 1:
         return False, "fails (b): two supports share a support neighbour"
     odd = [v for v, c in zip(ts.supports, ts.leaf_counts) if c % 2]
-    if dt == 1:
+    if ts.support_degree == 1:
         if ts.outsiders:
             return False, "fails (b1): vertex that is neither leaf nor support"
         if odd:

@@ -1,16 +1,21 @@
 """Exact computation of signed and k-tuple total domination parameters.
 
+The three signed problems are one problem up to f -> -f.  Given a sign s
+and a bound b, maximise s*f(V) over labellings f: V -> {-1,+1} subject to
+s*f(N(v)) <= s*b at every vertex v:
+
+    parameter  s   b   the problem in f
+    istdn      +1  0   maximise f(V) with f(N(v)) <= 0
+    st2in      +1  1   maximise f(V) with f(N(v)) <= 1
+    stdn       -1  1   minimise f(V) with f(N(v)) >= 1
+
 Every parameter is a minimum cover of a per-vertex demand vector: a vertex
 set S with |N(v) & S| >= demand[v] for every v, found by one branch-and-bound
-search over bitset adjacency (``_solve_ktuple``).  A labelling
-f: V -> {-1,+1} with minus set M has f(N(v)) = deg v - 2|N(v) & M|, so the
-three signed problems are covers too:
-
-    parameter  cover set         demand at v         value
-    istdn      M (the -1 set)    ceil(deg v / 2)     n - 2 min|M|
-    st2in      M                 floor(deg v / 2)    n - 2 min|M|
-    stdn       P (the +1 set)    floor(deg v / 2)+1  2 min|P| - n
-    ktd, td    D                 k, or 1             min|D|
+search over bitset adjacency (``_solve_ktuple``).  With h = s*f and M the
+set where h = -1, h(N(v)) = deg v - 2|N(v) & M|, so a signed problem covers
+with M, demanding ceil((deg v - s*b) / 2), and its value is
+s*(n - 2 min|M|).  ktd and td cover with D, demanding k or 1; their value
+is min|D|.
 
 ``optimize_signed`` is kept as an independent search over the labellings
 themselves.  On an r-regular graph the signed demands are constant, so the
@@ -40,45 +45,33 @@ def _require_positive_min_degree(g: Graph) -> None:
 
 @dataclass(frozen=True)
 class SignedProblem:
-    """One of the three +-1 labelling problems.
+    """One of the three +-1 labelling problems, in the sign/bound form
+    above; only the three studied instantiations are constructible."""
 
-    direction:  'max' or 'min' on the total weight f(V).
-    sense/bound: the per-vertex constraint, f(N(v)) <= bound or >= bound.
-    Only the three studied instantiations are constructible.
-    """
-
-    direction: str
-    sense: str
+    sign: int
     bound: int
 
-    _ALLOWED = {("max", "le", 0), ("min", "ge", 1), ("max", "le", 1)}
+    _ALLOWED = {(1, 0), (1, 1), (-1, 1)}
 
     def __post_init__(self) -> None:
-        if (self.direction, self.sense, self.bound) not in self._ALLOWED:
-            raise ValueError(
-                "supported problems: (max, le, 0), (min, ge, 1), (max, le, 1)"
-            )
-
-    @property
-    def maximize(self) -> bool:
-        return self.direction == "max"
+        if (self.sign, self.bound) not in self._ALLOWED:
+            raise ValueError("supported (sign, bound): (1, 0), (1, 1), (-1, 1)")
 
 
 #: maximise f(V) subject to f(N(v)) <= 0 everywhere (ISTDF / istdn).
-INVERSE_SIGNED_TOTAL = SignedProblem("max", "le", 0)
+INVERSE_SIGNED_TOTAL = SignedProblem(1, 0)
 #: minimise f(V) subject to f(N(v)) >= 1 everywhere (STDF / stdn).
-SIGNED_TOTAL = SignedProblem("min", "ge", 1)
+SIGNED_TOTAL = SignedProblem(-1, 1)
 #: maximise f(V) subject to f(N(v)) <= 1 everywhere (negative decision / st2in).
-NEGATIVE_DECISION = SignedProblem("max", "le", 1)
+NEGATIVE_DECISION = SignedProblem(1, 1)
 
 
 @dataclass(frozen=True)
 class SignedFunction:
-    """A total labelling V -> {-1,+1} with its weight and neighbourhood sums."""
+    """A total labelling V -> {-1,+1} with its weight."""
 
     values: tuple[int, ...]
     weight: int
-    nbr_sums: tuple[int, ...]
 
     @classmethod
     def from_values(cls, g: Graph, values: Sequence[int]) -> "SignedFunction":
@@ -87,17 +80,7 @@ class SignedFunction:
             raise ValueError(f"labelling has {len(vals)} entries for n={g.n}")
         if any(v not in (-1, 1) for v in vals):
             raise ValueError("labels must be -1 or +1")
-        plus = 0
-        for v, s in enumerate(vals):
-            if s == 1:
-                plus |= 1 << v
-        sums = tuple(
-            2 * (g.adj[v] & plus).bit_count() - g.degree(v) for v in range(g.n)
-        )
-        return cls(vals, sum(vals), sums)
-
-    def minus_vertices(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.values) if s == -1)
+        return cls(vals, sum(vals))
 
 
 @dataclass(frozen=True)
@@ -113,9 +96,12 @@ def is_feasible(g: Graph, f: SignedFunction, problem: SignedProblem) -> bool:
     """True iff every vertex meets the problem's neighbourhood constraint."""
     if len(f.values) != g.n:
         raise ValueError(f"labelling has {len(f.values)} entries for n={g.n}")
-    if problem.sense == "le":
-        return all(s <= problem.bound for s in f.nbr_sums)
-    return all(s >= problem.bound for s in f.nbr_sums)
+    plus = sum(1 << v for v, s in enumerate(f.values) if s == 1)
+    sign, cap = problem.sign, problem.sign * problem.bound
+    return all(
+        sign * (2 * (g.adj[v] & plus).bit_count() - g.degree(v)) <= cap
+        for v in range(g.n)
+    )
 
 
 def _branch_order(degrees: Sequence[int]) -> list[int]:
@@ -127,52 +113,42 @@ def _branch_order(degrees: Sequence[int]) -> list[int]:
 def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     """Exact optimum of a SignedProblem by depth-first branch and bound.
 
-    Pruning: (i)+(ii) a neighbourhood that cannot be repaired even if all of
-    its unlabelled vertices take the favourable sign kills the branch;
-    (iii) an optimistic completion (remaining vertices all take the
-    objective-favourable sign, feasibility ignored) that cannot strictly
+    Searches h = sign*f: maximise h(V) subject to h(N(v)) <= cap =
+    sign*bound, trying +1 first at each vertex.  Pruning: (i)+(ii) a
+    neighbourhood whose sum stays above cap even if all of its unlabelled
+    vertices take -1 kills the branch; (iii) an optimistic completion
+    (remaining vertices all +1, feasibility ignored) that cannot strictly
     beat the incumbent kills the branch.  The incumbent starts from the
-    always-feasible uniform labelling, so the search is never unseeded.
+    all -1 labelling, which is always feasible, so the search is never
+    unseeded.
     """
     _require_positive_min_degree(g)
     n = g.n
     order = _branch_order(g.degrees())
-    le = problem.sense == "le"
-    bound = problem.bound
-    maximize = problem.maximize
+    cap = problem.sign * problem.bound
 
-    seed = -1 if le else 1
-    best_vals = [seed] * n
-    best = seed * n
+    best_vals = [-1] * n
+    best = -n
 
     vals = [0] * n
     labeled = [0] * n          # sum of labelled neighbours
     slack = list(g.degrees())  # number of unlabelled neighbours
     nodes = 0
     budget = SEARCH_NODE_BUDGET
-    first = 1 if maximize else -1
     neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
-
-    def violated(v: int) -> bool:
-        if le:
-            return labeled[v] - slack[v] > bound
-        return labeled[v] + slack[v] < bound
 
     def dfs(i: int, weight: int) -> None:
         nonlocal best, best_vals, nodes
         if i == n:
-            if (maximize and weight > best) or (not maximize and weight < best):
+            if weight > best:
                 best = weight
                 best_vals = vals.copy()
             return
         u = order[i]
         rest = n - i - 1
-        for s in (first, -first):
+        for s in (1, -1):
             w2 = weight + s
-            optimistic = w2 + rest if maximize else w2 - rest
-            if maximize and optimistic <= best:
-                continue
-            if not maximize and optimistic >= best:
+            if w2 + rest <= best:
                 continue
             nodes += 1
             if nodes > budget:
@@ -182,7 +158,7 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
             for v in neighbor_lists[u]:
                 labeled[v] += s
                 slack[v] -= 1
-                if ok and violated(v):
+                if labeled[v] - slack[v] > cap:
                     ok = False
             if ok:
                 dfs(i + 1, w2)
@@ -192,8 +168,9 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
             vals[u] = 0
 
     dfs(0, 0)
-    witness = SignedFunction.from_values(g, best_vals)
-    return ParameterResult(best, witness, nodes)
+    sign = problem.sign
+    witness = SignedFunction.from_values(g, [sign * x for x in best_vals])
+    return ParameterResult(sign * best, witness, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +308,21 @@ def _solve_ktuple(g: Graph, demand: Sequence[int], lower: int) -> ParameterResul
 
 
 def _signed_demand(g: Graph, problem: SignedProblem) -> tuple[int, list[int]]:
-    """The label of the cover set, and each vertex's demand on it.
-
-    f(N(v)) = 2|N(v) & P| - deg v = deg v - 2|N(v) & M|.  Maximising under
-    f(N(v)) <= b covers with M, demanding ceil((deg v - b) / 2); minimising
-    under f(N(v)) >= b covers with P, demanding ceil((deg v + b) / 2).
-    """
-    sign = -1 if problem.maximize else 1
-    return sign, [(d + sign * problem.bound + 1) // 2 for d in g.degrees()]
+    """The label of the cover set M, -sign, and each vertex's demand on it,
+    ceil((deg v - sign*bound) / 2)."""
+    cap = problem.sign * problem.bound
+    return -problem.sign, [(d - cap + 1) // 2 for d in g.degrees()]
 
 
 def _signed_cover(g: Graph, problem: SignedProblem) -> ParameterResult:
     _require_positive_min_degree(g)
-    sign, demand = _signed_demand(g, problem)
+    label, demand = _signed_demand(g, problem)
     lower = max(max(demand), -(-sum(demand) // max_degree(g)))
     res = _solve_ktuple(g, demand, lower)
     witness = SignedFunction.from_values(
-        g, [sign if v in res.witness else -sign for v in range(g.n)]
+        g, [label if v in res.witness else -label for v in range(g.n)]
     )
-    return ParameterResult(sign * (2 * res.value - g.n), witness, res.nodes_explored)
+    return ParameterResult(label * (2 * res.value - g.n), witness, res.nodes_explored)
 
 
 def istdn(g: Graph) -> ParameterResult:

@@ -22,9 +22,9 @@ from collections.abc import Callable, Iterable
 
 from .constructions import (
     TreeStructure,
-    decompose_tree,
     floor_family_membership,
     leaf_floor,
+    tree_structure,
 )
 from .graphs import (
     Graph,
@@ -206,11 +206,8 @@ class GraphFacts:
 
     @cached_property
     def tree_structure(self) -> TreeStructure:
-        """Decomposes the graph without testing again that it is a tree;
-        raises ValueError unless ``tree`` holds."""
-        if not self.tree:
-            raise ValueError("input must be a tree on at least 2 vertices")
-        return decompose_tree(self.graph)
+        """Raises ValueError unless ``tree`` holds."""
+        return tree_structure(self.graph)
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:

@@ -17,6 +17,7 @@ from sigdom.graphs import (
     parse_graph6,
     write_graph6,
 )
+from sigdom.solvers import istdn
 from sigdom.verification import CheckReport
 
 CUBIC = str(Path(__file__).resolve().parent.parent / "data" / "cubic_upto10.g6")
@@ -47,6 +48,27 @@ def test_construct_describe(capsys, monkeypatch):
     info = json.loads(info_line)
     assert parse_graph6(g6_line).n == 18
     assert info["n"] == 18 and info["expected_istdn"] == -2
+
+
+#: Families with an istdn closed form, and the parameters to test it on.
+CLOSED_FORM_FAMILIES = {
+    "complete": [[n] for n in range(2, 12)],
+    "cycle": [[n] for n in range(3, 20)],
+    "bipartite": [[m, n] for m in range(1, 6) for n in range(1, 6)],
+    "hr": [[r] for r in range(2, 5)],
+    "prop41": [[k] for k in range(-3, 8)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_FAMILIES))
+def test_construct_describe_closed_forms(capsys, monkeypatch, family):
+    for params in CLOSED_FORM_FAMILIES[family]:
+        argv = ["construct", "--family", family, *map(str, params), "--describe"]
+        code, out, _ = run_cli(capsys, monkeypatch, argv)
+        assert code == 0
+        g6_line, info_line = out.splitlines()
+        expected = json.loads(info_line)["expected_istdn"]
+        assert expected == istdn(parse_graph6(g6_line)).value, (family, params)
 
 
 def test_construct_heawood_and_star(capsys, monkeypatch):
@@ -215,7 +237,7 @@ def test_verify_computes_each_fact_once_per_graph(capsys, monkeypatch, source):
     from sigdom import verification
 
     calls = collections.Counter()
-    for name in ("istdn", "write_graph6", "clique_number", "decompose_tree"):
+    for name in ("istdn", "write_graph6", "clique_number", "tree_structure"):
         def counted(g, *args, _name=name, _real=getattr(verification, name), **kwargs):
             calls[_name, g] += 1
             return _real(g, *args, **kwargs)

@@ -17,7 +17,6 @@ from sigdom.graphs import (
     is_connected,
     is_regular,
     is_tree,
-    max_degree,
     min_degree,
     path_graph,
     star_graph,
@@ -44,7 +43,7 @@ def test_tree_structure_star():
     assert ts.supports == (0,)
     assert ts.leaf_counts == (4,)
     assert ts.leaves == {1, 2, 3, 4}
-    assert ts.support_subgraph.n == 1 and ts.support_subgraph.m == 0
+    assert ts.support_degree == 0
     assert ts.outsiders == frozenset()
 
 
@@ -52,8 +51,7 @@ def test_tree_structure_path4():
     ts = tree_structure(path_graph(4))
     assert ts.supports == (1, 2)
     assert ts.leaf_counts == (1, 1)
-    assert ts.support_subgraph.m == 1
-    assert max_degree(ts.support_subgraph) == 1
+    assert ts.support_degree == 1
     assert ts.leaf_groups[1] == {0} and ts.leaf_groups[2] == {3}
 
 
@@ -61,7 +59,7 @@ def test_tree_structure_double_star():
     ts = tree_structure(double_star(2, 2))
     assert len(ts.supports) == 2
     assert ts.leaf_counts == (2, 2)
-    assert max_degree(ts.support_subgraph) == 1
+    assert ts.support_degree == 1
 
 
 def test_tree_structure_two_vertex_path():

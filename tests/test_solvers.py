@@ -39,41 +39,78 @@ PROBLEMS = {
     "st2in": (NEGATIVE_DECISION, st2in),
 }
 
+#: brute_signed's (sense, bound, maximize) for each parameter, written out
+#: from the definitions rather than read from the SignedProblem constants.
+BRUTE_ARGS = {
+    "istdn": ("le", 0, True),
+    "stdn": ("ge", 1, False),
+    "st2in": ("le", 1, True),
+}
+
+
+def _minus_set(f: SignedFunction) -> set[int]:
+    return {v for v, s in enumerate(f.values) if s == -1}
+
 
 def test_signed_problem_is_restricted():
-    with pytest.raises(ValueError):
-        SignedProblem("max", "ge", 0)
-    with pytest.raises(ValueError):
-        SignedProblem("min", "le", 0)
-    with pytest.raises(ValueError):
-        SignedProblem("max", "le", 2)
+    assert (INVERSE_SIGNED_TOTAL.sign, INVERSE_SIGNED_TOTAL.bound) == (1, 0)
+    assert (NEGATIVE_DECISION.sign, NEGATIVE_DECISION.bound) == (1, 1)
+    assert (SIGNED_TOTAL.sign, SIGNED_TOTAL.bound) == (-1, 1)
+    for sign, bound in ((-1, 0), (1, 2), (-1, -1), (0, 0), (2, 0)):
+        with pytest.raises(ValueError):
+            SignedProblem(sign, bound)
 
 
 def test_signed_function_bookkeeping():
     p4 = path_graph(4)
-    f = SignedFunction.from_values(p4, (1, -1, -1, 1))
+    f = SignedFunction.from_values(p4, [1, -1, -1, 1])
+    assert f.values == (1, -1, -1, 1)
     assert f.weight == 0
-    assert f.nbr_sums == (-1, 0, 0, -1)
-    assert f.minus_vertices() == {1, 2}
-    assert f.weight == p4.n - 2 * len(f.minus_vertices())
     with pytest.raises(ValueError, match="entries"):
         SignedFunction.from_values(p4, (1, -1, 1))
     with pytest.raises(ValueError, match="labels"):
         SignedFunction.from_values(p4, (1, 0, -1, 1))
 
 
+#: (graph, labelling, feasible for istdn, stdn, st2in): labellings that
+#: tell the three constraints apart.
+FEASIBILITY_EXAMPLES = [
+    (path_graph(4), (1, -1, -1, 1), (True, False, True)),
+    (cycle_graph(5), (1,) * 5, (False, True, False)),
+    (path_graph(3), (1, 1, -1), (False, False, True)),
+    (cycle_graph(5), (-1,) * 5, (True, False, True)),
+    (complete_graph(3), (1, 1, 1), (False, True, False)),
+]
+
+
 def test_is_feasible_examples():
-    c5 = cycle_graph(5)
-    all_minus = SignedFunction.from_values(c5, (-1,) * 5)
-    assert is_feasible(c5, all_minus, INVERSE_SIGNED_TOTAL)
-    p4 = path_graph(4)
-    f = SignedFunction.from_values(p4, (1, -1, -1, 1))
-    assert is_feasible(p4, f, INVERSE_SIGNED_TOTAL)
-    k3 = complete_graph(3)
-    all_plus = SignedFunction.from_values(k3, (1, 1, 1))
-    assert not is_feasible(k3, all_plus, INVERSE_SIGNED_TOTAL)
-    with pytest.raises(ValueError):
-        is_feasible(k3, f, INVERSE_SIGNED_TOTAL)
+    for g, values, expected in FEASIBILITY_EXAMPLES:
+        f = SignedFunction.from_values(g, values)
+        for (name, (problem, _)), want in zip(PROBLEMS.items(), expected):
+            assert is_feasible(g, f, problem) == want, (values, name)
+        with pytest.raises(ValueError):
+            is_feasible(complete_graph(g.n + 1), f, INVERSE_SIGNED_TOTAL)
+
+
+#: optimize_signed's (value, nodes) for (istdn, stdn, st2in).
+LABELLING_SEARCH_COUNTS = {
+    "heawood": (build_heawood(), ((-10, 532), (10, 532), (2, 1801))),
+    "C12": (cycle_graph(12), ((0, 250), (12, 23), (0, 250))),
+    "hr3": (build_matched_multipartite(3).graph,
+            ((6, 11516), (10, 1963), (6, 11516))),
+    "K7": (complete_graph(7), ((-1, 104), (3, 90), (-1, 104))),
+    "K3,3": (complete_bipartite_graph(3, 3), ((-2, 36), (2, 36), (2, 19))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELLING_SEARCH_COUNTS))
+def test_labelling_search_pinned(name):
+    g, pinned = LABELLING_SEARCH_COUNTS[name]
+    for (param, (problem, _)), want in zip(PROBLEMS.items(), pinned):
+        res = optimize_signed(g, problem)
+        assert (res.value, res.nodes_explored) == want, param
+        assert res.witness.weight == res.value, param
+        assert is_feasible(g, res.witness, problem), param
 
 
 def test_istdn_closed_form_examples():
@@ -139,7 +176,7 @@ def test_witnesses_are_feasible_and_optimal():
 def test_weight_is_order_minus_twice_minus_set():
     for g in (complete_graph(5), cycle_graph(9), star_graph(6)):
         res = istdn(g)
-        m = len(res.witness.minus_vertices())
+        m = len(_minus_set(res.witness))
         assert res.value == g.n - 2 * m
         assert m == (g.n - res.value) // 2
 
@@ -168,7 +205,7 @@ def test_minus_set_is_tuple_dominating():
     for _ in range(15):
         g = random_connected_graph(rng, 3, 9)
         res = istdn(g)
-        minus = res.witness.minus_vertices()
+        minus = _minus_set(res.witness)
         mask = 0
         for v in minus:
             mask |= 1 << v
@@ -196,9 +233,7 @@ def test_oracle_equivalence_small():
     for _ in range(25):
         g = random_connected_graph(rng, 2, 8)
         for name, (problem, solver) in PROBLEMS.items():
-            expected, _ = brute_signed(
-                g, problem.sense, problem.bound, problem.maximize
-            )
+            expected, _ = brute_signed(g, *BRUTE_ARGS[name])
             assert solver(g).value == expected, f"{name} mismatch"
         delta = min_degree(g)
         for k in range(1, delta + 1):
@@ -212,7 +247,7 @@ def test_enumerate_maximum_istdfs_examples():
     assert [f.values for f in p4] == [(1, -1, -1, 1)]
     c4 = enumerate_maximum_istdfs(cycle_graph(4))
     assert len(c4) == 4
-    assert all(f.weight == 0 and len(f.minus_vertices()) == 2 for f in c4)
+    assert all(f.weight == 0 and len(_minus_set(f)) == 2 for f in c4)
 
 
 def test_enumerate_matches_brute_count():
@@ -252,7 +287,7 @@ def connected_graphs(draw, max_n: int = 9) -> Graph:
 def test_cover_engine_matches_labelling_search_and_brute_force(g):
     for name, (problem, solver) in PROBLEMS.items():
         res = solver(g)
-        expected, _ = brute_signed(g, problem.sense, problem.bound, problem.maximize)
+        expected, _ = brute_signed(g, *BRUTE_ARGS[name])
         assert res.value == expected == optimize_signed(g, problem).value, name
         assert is_feasible(g, res.witness, problem), name
         assert res.witness.weight == res.value, name
