@@ -5,8 +5,9 @@ Subcommands: ``compute`` (parameters over a graph6/edge-list stream),
 graph6), ``enumerate`` (free trees to graph6).  Results stream as JSONL or
 graph6 lines so the subcommands compose through pipes.
 
-Exit codes: 0 all good, 1 a verified relation was violated, 2 usage, input
-or precondition error, with its location.
+Exit codes: 0 all good, 1 a verified relation was violated or a witness
+failed its re-check, 2 usage, input or precondition error.  An error names
+its location.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ from .graphs import (
 )
 from .solvers import (
     SignedFunction,
+    WitnessError,
     istdn,
     ktuple_total_domination,
+    recheck_witness,
     st2in,
     stdn,
     total_domination,
@@ -191,6 +194,8 @@ def _located(fn: Callable, record: tuple[str, Graph | str] | _UsageError):
     where, g = record
     try:
         return fn(g)
+    except WitnessError as exc:
+        return WitnessError(f"{where}: {exc}")
     except ValueError as exc:
         return _UsageError(f"{where}: {exc}")
 
@@ -220,7 +225,7 @@ def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
             results = pool.map(partial(_located, partial(_from_graph6, fn)), listed,
                                chunksize=4)
         for result in results:
-            if isinstance(result, _UsageError):
+            if isinstance(result, (_UsageError, WitnessError)):
                 raise result
             yield result
     finally:
@@ -236,9 +241,9 @@ def _witness_payload(witness) -> list[int]:
 
 def _compute_record(g: Graph, param: str, k: int | None) -> str:
     if param == "ktd":
-        result = ktuple_total_domination(g, k)
+        result = recheck_witness(g, param, ktuple_total_domination(g, k), k)
     else:
-        result = _PARAM_SOLVERS[param](g)
+        result = recheck_witness(g, param, _PARAM_SOLVERS[param](g))
     payload = {"graph_id": write_graph6(g), "param": param}
     if param == "ktd":
         payload["k"] = k
@@ -341,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, GraphFormatError) as exc:
         print(f"sigdom: error: {exc}", file=sys.stderr)
         return 2
+    except WitnessError as exc:
+        print(f"sigdom: error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

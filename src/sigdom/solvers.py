@@ -22,7 +22,8 @@ themselves.  On an r-regular graph the signed demands are constant, so the
 regular-graph identities take their signed side from it; from the cover
 engine they would compare that engine with itself.  All searches are exact
 and deterministic; each one gives up with a ValueError once it has explored
-more than SEARCH_NODE_BUDGET nodes.
+more than SEARCH_NODE_BUDGET nodes.  ``recheck_witness`` checks a result's
+witness against the graph from scratch, without the search.
 """
 
 from __future__ import annotations
@@ -102,6 +103,36 @@ def is_feasible(g: Graph, f: SignedFunction, problem: SignedProblem) -> bool:
         sign * (2 * (g.adj[v] & plus).bit_count() - g.degree(v)) <= cap
         for v in range(g.n)
     )
+
+
+class WitnessError(Exception):
+    """A solver's witness failed its re-check: a fault of the program, not
+    of its input."""
+
+
+_SIGNED_PROBLEMS = {"istdn": INVERSE_SIGNED_TOTAL, "stdn": SIGNED_TOTAL,
+                    "st2in": NEGATIVE_DECISION}
+
+
+def recheck_witness(
+    g: Graph, param: str, result: ParameterResult, k: int = 1
+) -> ParameterResult:
+    """``result`` of ``param`` (istdn, stdn, st2in, td or ktd at level k) on
+    ``g``, once its witness is checked from scratch: a feasible labelling
+    of weight ``value``, or a set of ``value`` vertices that each vertex
+    has at least k neighbours in.  Raises WitnessError otherwise."""
+    w = result.witness
+    if param in _SIGNED_PROBLEMS:
+        ok = (len(w.values) == g.n and set(w.values) <= {-1, 1}
+              and sum(w.values) == result.value
+              and is_feasible(g, w, _SIGNED_PROBLEMS[param]))
+    else:
+        mask = sum(1 << v for v in w if 0 <= v < g.n)
+        ok = (len(w) == result.value == mask.bit_count()
+              and all((a & mask).bit_count() >= k for a in g.adj))
+    if not ok:
+        raise WitnessError(f"{param} witness fails its re-check")
+    return result
 
 
 def _branch_order(degrees: Sequence[int]) -> list[int]:

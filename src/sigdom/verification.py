@@ -1,11 +1,16 @@
 """Checkers that re-verify each proved inequality or identity on a graph.
 
-Each checker consumes one graph, runs the exact solvers it needs, and emits
-a CheckReport; run_suite folds reports over a corpus.  The checks on one
-graph share a GraphFacts: its graph6 id, degree and connectivity tests,
-clique number, istdn optimum and tree structure are each computed once, on
-first use, and read by every check after that.  The regular-graph
+Each check is one row of the table CHECKS: a function of one graph's
+GraphFacts that returns only its numbers, (lhs, rhs, holds, sharp, notes),
+or the reason the graph is out of its scope.  evaluate_check turns that
+into a CheckReport, and run_suite folds reports over a corpus.  The checks
+on one graph share a GraphFacts: its graph6 id, degree and connectivity
+tests, clique number, istdn optimum and tree structure are each computed
+once, on first use, and read by every check after that.  GraphFacts refuses
+the empty graph, for which no check is stated.  The regular-graph
 identities still take their signed side from their own labelling search.
+The istdn fact and t22's total domination number are read only after
+their witnesses pass a re-check.
 Inequalities compare exact integers or Fractions; the only floating-point
 comparison is the square-root bound of the clique-constrained check, and
 even that goes exact whenever the radicand is a perfect square.
@@ -45,6 +50,7 @@ from .solvers import (
     istdn,
     ktuple_chain,
     optimize_signed,
+    recheck_witness,
     total_domination,
 )
 
@@ -101,9 +107,6 @@ class _Counts:
     sharp: int = 0
     inapplicable: int = 0
 
-    def total(self) -> int:
-        return self.passed + self.failed + self.inapplicable
-
 
 @dataclass
 class SuiteSummary:
@@ -152,10 +155,6 @@ class SuiteSummary:
         )
 
 
-def _inapplicable(check_id: str, gid: str, why: str) -> CheckReport:
-    return CheckReport(check_id, gid, 0, 0, True, False, False, f"inapplicable: {why}")
-
-
 # ---------------------------------------------------------------------------
 # Facts shared by the checks on one graph
 # ---------------------------------------------------------------------------
@@ -167,20 +166,17 @@ class GraphFacts:
     A fact calls the graph function or solver behind it through this
     module's globals, so a wrapper or stub put there sees every call; each
     later check on the same GraphFacts reads the stored value.  A fact that
-    raises is not stored.
+    raises is not stored.  The empty graph is refused here, with the
+    ValueError of ``min_degree``: no check is stated for it.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
+        self.min_degree = min_degree(graph)
 
     @cached_property
     def graph6(self) -> str:
         return write_graph6(self.graph)
-
-    @cached_property
-    def min_degree(self) -> int:
-        """Raises ValueError on the empty graph, which has no degrees."""
-        return min_degree(self.graph)
 
     @cached_property
     def regular_degree(self) -> int | None:
@@ -189,6 +185,17 @@ class GraphFacts:
     @cached_property
     def connected(self) -> bool:
         return is_connected(self.graph)
+
+    @cached_property
+    def regular_obstacle(self) -> str | None:
+        """Why the graph is not connected and r-regular with r >= 1, or None."""
+        if self.regular_degree is None:
+            return "graph is not regular"
+        if not self.connected:
+            return "graph is not connected"
+        if self.regular_degree < 1:
+            return "isolated vertex"
+        return None
 
     @cached_property
     def tree(self) -> bool:
@@ -202,7 +209,7 @@ class GraphFacts:
 
     @cached_property
     def istdn(self) -> ParameterResult:
-        return istdn(self.graph)
+        return recheck_witness(self.graph, "istdn", istdn(self.graph))
 
     @cached_property
     def tree_structure(self) -> TreeStructure:
@@ -210,47 +217,25 @@ class GraphFacts:
         return tree_structure(self.graph)
 
 
-def _facts(g: Graph | GraphFacts) -> GraphFacts:
-    return g if isinstance(g, GraphFacts) else GraphFacts(g)
+# ---------------------------------------------------------------------------
+# The checks: each maps the facts of one graph to the reason the graph is out
+# of scope, or to (lhs, rhs, holds, sharp, notes)
+# ---------------------------------------------------------------------------
+
+Outcome = str | tuple[int | float | Fraction, int | float | Fraction, bool, bool, str]
 
 
-def _regular_obstacle(facts: GraphFacts) -> str | None:
-    """Why the graph is not connected and r-regular with r >= 1, or None."""
-    if facts.regular_degree is None:
-        return "graph is not regular"
+def _t22(facts: GraphFacts) -> Outcome:
+    """istdn <= n - 2*ceil((2*gamma_t + delta - 2) / 2) on connected graphs."""
     if not facts.connected:
         return "graph is not connected"
-    if facts.regular_degree < 1:
-        return "isolated vertex"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Individual checks: each takes a Graph or the GraphFacts of one
-# ---------------------------------------------------------------------------
-
-
-def check_total_domination_upper(g: Graph | GraphFacts) -> CheckReport:
-    """istdn <= n - 2*ceil((2*gamma_t + delta - 2) / 2) on connected graphs."""
-    facts = _facts(g)
-    gid = facts.graph6
-    if not facts.connected:
-        return _inapplicable("t22", gid, "graph is not connected")
     delta = facts.min_degree
     if delta < 1:
-        return _inapplicable("t22", gid, "isolated vertex")
+        return "isolated vertex"
     lhs = facts.istdn.value
-    gamma_t = total_domination(facts.graph).value
+    gamma_t = recheck_witness(facts.graph, "td", total_domination(facts.graph)).value
     rhs = facts.graph.n - 2 * _ceil_div(2 * gamma_t + delta - 2, 2)
-    return CheckReport(
-        "t22",
-        gid,
-        lhs,
-        rhs,
-        lhs <= rhs,
-        lhs == rhs,
-        notes=f"gamma_t={gamma_t} delta={delta}",
-    )
+    return lhs, rhs, lhs <= rhs, lhs == rhs, f"gamma_t={gamma_t} delta={delta}"
 
 
 def _exact_sqrt(x: Fraction) -> Fraction | None:
@@ -261,43 +246,37 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def check_clique_constrained_upper(g: Graph | GraphFacts, r: int) -> CheckReport:
-    """istdn upper bound for graphs with no (r+1)-clique.
+def _turan(facts: GraphFacts, r: int | None) -> Outcome:
+    """istdn upper bound for graphs with no (r+1)-clique; with no r given,
+    the smallest admissible r = max(2, clique number).
 
     rhs = n - r/(r-1) * (-c + sqrt(c^2 + 4*(r-1)/r*c*n)) with c = ceil(delta/2).
     Exact rational arithmetic whenever the radicand is a perfect square,
     float with a 1e-9 tolerance otherwise.
     """
-    facts = _facts(g)
-    gid = facts.graph6
+    if r is None:
+        r = max(2, facts.clique_number)
     if r < 2:
         raise ValueError("clique bound needs r >= 2")
-    n = facts.graph.n
-    if n == 0 or facts.min_degree < 1:
-        return _inapplicable("turan", gid, "isolated vertex")
+    if facts.min_degree < 1:
+        return "isolated vertex"
     omega = facts.clique_number
     if omega > r:
-        return _inapplicable("turan", gid, f"contains a {omega}-clique > r={r}")
+        return f"contains a {omega}-clique > r={r}"
+    n = facts.graph.n
     c = _ceil_div(facts.min_degree, 2)
     radicand = Fraction(c * c) + Fraction(4 * (r - 1) * c * n, r)
     lhs = facts.istdn.value
     root = _exact_sqrt(radicand)
     if root is not None:
         rhs = n - Fraction(r, r - 1) * (-c + root)
-        holds = Fraction(lhs) <= rhs
-        sharp = Fraction(lhs) == rhs
-        note = "exact"
-    else:
-        rhs = n - (r / (r - 1)) * (-c + math.sqrt(float(radicand)))
-        holds = lhs <= rhs + TURAN_EPS
-        sharp = abs(lhs - rhs) <= TURAN_EPS
-        note = f"float eps={TURAN_EPS}"
-    return CheckReport(
-        "turan", gid, lhs, rhs, holds, sharp, notes=f"r={r} c={c} {note}"
-    )
+        return lhs, rhs, Fraction(lhs) <= rhs, Fraction(lhs) == rhs, f"r={r} c={c} exact"
+    rhs = n - (r / (r - 1)) * (-c + math.sqrt(float(radicand)))
+    return (lhs, rhs, lhs <= rhs + TURAN_EPS, abs(lhs - rhs) <= TURAN_EPS,
+            f"r={r} c={c} float eps={TURAN_EPS}")
 
 
-def check_regular_identities(g: Graph | GraphFacts) -> CheckReport:
+def _regular_identities(facts: GraphFacts) -> Outcome:
     """On a connected r-regular graph the three signed optima collapse to
     tuple-domination counts:
 
@@ -312,11 +291,8 @@ def check_regular_identities(g: Graph | GraphFacts) -> CheckReport:
     same cover engine as the tuple minima, with constant demand here, so
     they would check nothing.
     """
-    facts = _facts(g)
-    gid = facts.graph6
-    why = _regular_obstacle(facts)
-    if why is not None:
-        return _inapplicable("regular_identities", gid, why)
+    if facts.regular_obstacle is not None:
+        return facts.regular_obstacle
     graph = facts.graph
     r = facts.regular_degree
     n = graph.n
@@ -341,20 +317,15 @@ def check_regular_identities(g: Graph | GraphFacts) -> CheckReport:
         f"r={r} istdn={ist} stdn={std} st2in={s2} "
         f"tuple_minima={chain} " + " ".join(f"{k}:{'ok' if v else 'BAD'}" for k, v in eqs.items())
     )
-    return CheckReport(
-        "regular_identities", gid, ist, n - 2 * gamma_up, holds, holds, notes=notes
-    )
+    return ist, n - 2 * gamma_up, holds, holds, notes
 
 
-def check_regular_interval(g: Graph | GraphFacts) -> CheckReport:
+def _regular_bounds(facts: GraphFacts) -> Outcome:
     """Parity-dependent closed interval for istdn of a connected r-regular
     graph: [(1-r)/(1+r)*n, 0] for even r, [-(r^2+1)/(r^2+2r-1)*n, -n/r] for
     odd r.  Exact rational comparison."""
-    facts = _facts(g)
-    gid = facts.graph6
-    why = _regular_obstacle(facts)
-    if why is not None:
-        return _inapplicable("regular_bounds", gid, why)
+    if facts.regular_obstacle is not None:
+        return facts.regular_obstacle
     r = facts.regular_degree
     n = facts.graph.n
     if r % 2 == 0:
@@ -364,18 +335,9 @@ def check_regular_interval(g: Graph | GraphFacts) -> CheckReport:
         lo = -Fraction(r * r + 1, r * r + 2 * r - 1) * n
         hi = -Fraction(n, r)
     ist = Fraction(facts.istdn.value)
-    holds = lo <= ist <= hi
-    sharp = ist == lo or ist == hi
     side = "lower" if ist == lo else "upper" if ist == hi else "interior"
-    return CheckReport(
-        "regular_bounds",
-        gid,
-        ist,
-        hi,
-        holds,
-        sharp,
-        notes=f"r={r} interval=[{lo},{hi}] istdn={ist} {side}",
-    )
+    return (ist, hi, lo <= ist <= hi, ist == lo or ist == hi,
+            f"r={r} interval=[{lo},{hi}] istdn={ist} {side}")
 
 
 def is_heawood_certificate(g: Graph) -> bool:
@@ -385,43 +347,27 @@ def is_heawood_certificate(g: Graph) -> bool:
     )
 
 
-def check_cubic_floor(g: Graph | GraphFacts) -> CheckReport:
+def _cubic(facts: GraphFacts) -> Outcome:
     """istdn >= -2n/3 for every connected cubic graph except the one
     14-vertex bipartite girth-6 exception, which is reported, not failed."""
-    facts = _facts(g)
-    gid = facts.graph6
-    why = "graph is not cubic" if facts.regular_degree != 3 else _regular_obstacle(facts)
-    if why is not None:
-        return _inapplicable("cubic", gid, why)
+    if facts.regular_degree != 3:
+        return "graph is not cubic"
+    if facts.regular_obstacle is not None:
+        return facts.regular_obstacle
     ist = Fraction(facts.istdn.value)
     floor = Fraction(-2 * facts.graph.n, 3)
     if is_heawood_certificate(facts.graph):
-        return CheckReport(
-            "cubic",
-            gid,
-            ist,
-            floor,
-            True,
-            False,
-            notes=f"excluded exception graph; istdn={ist} vs floor {floor}",
-        )
-    return CheckReport(
-        "cubic", gid, ist, floor, ist >= floor, ist == floor,
-        notes=f"istdn={ist} floor={floor}",
-    )
+        return ist, floor, True, False, f"excluded exception graph; istdn={ist} vs floor {floor}"
+    return ist, floor, ist >= floor, ist == floor, f"istdn={ist} floor={floor}"
 
 
-def check_leaf_condition(t: Graph | GraphFacts) -> CheckReport:
+def _lemma42(facts: GraphFacts) -> Outcome:
     """Some maximum inverse-signed labelling gives +1 to at least
     floor(l_i/2) leaves of every support vertex."""
-    facts = _facts(t)
-    gid = facts.graph6
     if not facts.tree:
-        return _inapplicable("lemma42", gid, "not a tree on >= 2 vertices")
+        return "not a tree on >= 2 vertices"
     if facts.graph.n > LEAF_CONDITION_ORDER_CAP:
-        return _inapplicable(
-            "lemma42", gid, f"order above enumeration cap {LEAF_CONDITION_ORDER_CAP}"
-        )
+        return f"order above enumeration cap {LEAF_CONDITION_ORDER_CAP}"
     ts = facts.tree_structure
     best_shortfall = None
     for f in enumerate_maximum_istdfs(facts.graph, optimum=facts.istdn.value):
@@ -434,76 +380,55 @@ def check_leaf_condition(t: Graph | GraphFacts) -> CheckReport:
         if best_shortfall >= 0:
             break
     assert best_shortfall is not None
-    return CheckReport(
-        "lemma42",
-        gid,
-        best_shortfall,
-        0,
-        best_shortfall >= 0,
-        best_shortfall == 0,
-        notes="max-min surplus of +1 leaves over half the group size",
-    )
+    return (best_shortfall, 0, best_shortfall >= 0, best_shortfall == 0,
+            "max-min surplus of +1 leaves over half the group size")
 
 
-def check_tree_floor(t: Graph | GraphFacts) -> CheckReport:
+def _t43(facts: GraphFacts) -> Outcome:
     """istdn >= leaf floor, with equality exactly on the structural family."""
-    facts = _facts(t)
-    gid = facts.graph6
     if not facts.tree:
-        return _inapplicable("t43", gid, "not a tree on >= 2 vertices")
+        return "not a tree on >= 2 vertices"
     ts = facts.tree_structure
     floor = leaf_floor(ts)
     ist = facts.istdn.value
     member, reason = floor_family_membership(ts)
     holds = ist >= floor and ((ist == floor) == member)
-    return CheckReport(
-        "t43",
-        gid,
-        ist,
-        floor,
-        holds,
-        ist == floor,
-        notes=f"family={'yes' if member else 'no'} ({reason})",
-    )
+    return ist, floor, holds, ist == floor, f"family={'yes' if member else 'no'} ({reason})"
 
 
 # ---------------------------------------------------------------------------
 # Suite runner
 # ---------------------------------------------------------------------------
 
-CHECK_IDS: tuple[str, ...] = (
-    "t22",
-    "turan",
-    "regular_identities",
-    "regular_bounds",
-    "cubic",
-    "lemma42",
-    "t43",
-)
-
-_PLAIN_CHECKS: dict[str, Callable[[GraphFacts], CheckReport]] = {
-    "t22": check_total_domination_upper,
-    "regular_identities": check_regular_identities,
-    "regular_bounds": check_regular_interval,
-    "cubic": check_cubic_floor,
-    "lemma42": check_leaf_condition,
-    "t43": check_tree_floor,
+#: Every check by id, in report order.
+CHECKS: dict[str, Callable[..., Outcome]] = {
+    "t22": _t22,
+    "turan": _turan,
+    "regular_identities": _regular_identities,
+    "regular_bounds": _regular_bounds,
+    "cubic": _cubic,
+    "lemma42": _lemma42,
+    "t43": _t43,
 }
+CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
 def evaluate_check(
     check_id: str, g: Graph | GraphFacts, *, turan_r: int | None = None
 ) -> CheckReport:
-    """Run a single check by id on a graph or on the shared facts of one;
-    for "turan" with no explicit r, use the smallest admissible
-    r = max(2, clique number)."""
-    facts = _facts(g)
-    if check_id == "turan":
-        r = turan_r if turan_r is not None else max(2, facts.clique_number)
-        return check_clique_constrained_upper(facts, r)
-    if check_id not in _PLAIN_CHECKS:
+    """Run a single check by id on a graph or on the shared facts of one.
+    Only the clique-constrained bound takes ``turan_r``, its r; by default
+    it uses the smallest admissible r."""
+    if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
-    return _PLAIN_CHECKS[check_id](facts)
+    facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
+    check = CHECKS[check_id]
+    outcome = check(facts, turan_r) if check_id == "turan" else check(facts)
+    if isinstance(outcome, str):
+        return CheckReport(check_id, facts.graph6, 0, 0, True, False, False,
+                           f"inapplicable: {outcome}")
+    lhs, rhs, holds, sharp, notes = outcome
+    return CheckReport(check_id, facts.graph6, lhs, rhs, holds, sharp, notes=notes)
 
 
 def _evaluate_checks(

@@ -32,12 +32,7 @@ from sigdom.solvers import (
     total_domination,
 )
 from sigdom.trees import free_trees
-from sigdom.verification import (
-    check_regular_identities,
-    check_regular_interval,
-    check_total_domination_upper,
-    check_leaf_condition,
-)
+from sigdom.verification import evaluate_check
 from oracles import brute_ktuple, brute_signed, random_connected_graph
 
 
@@ -81,14 +76,14 @@ def test_criterion_02_bipartite_table():
 
 def test_criterion_03_domination_upper_bound_corpus(connected_upto8):
     violations = sum(
-        0 if check_total_domination_upper(g).holds else 1 for g in connected_upto8
+        0 if evaluate_check("t22", g).holds else 1 for g in connected_upto8
     )
     # the corpus is canonically labelled, so sharpness on complete graphs and
     # cycles is asserted on freshly built copies (same graphs up to labels)
     sharp_ok = all(
-        check_total_domination_upper(complete_graph(n)).sharp for n in range(2, 9)
+        evaluate_check("t22", complete_graph(n)).sharp for n in range(2, 9)
     ) and all(
-        check_total_domination_upper(cycle_graph(n)).sharp for n in range(3, 9)
+        evaluate_check("t22", cycle_graph(n)).sharp for n in range(3, 9)
     )
     ok = violations == 0 and sharp_ok
     report(
@@ -126,7 +121,7 @@ def test_criterion_04_clique_bound_sharpness():
 def test_criterion_05_regular_identities(cubic_upto10, quartic_5to9):
     failures = 0
     for g in cubic_upto10 + quartic_5to9:
-        rep = check_regular_identities(g)
+        rep = evaluate_check("regular_identities", g)
         if not (rep.applicable and rep.holds):
             failures += 1
     ok = failures == 0
@@ -139,7 +134,7 @@ def test_criterion_06_regular_intervals(cubic_upto10, quartic_5to9):
     failures = 0
     sharp_sides = set()
     for g in corpus:
-        rep = check_regular_interval(g)
+        rep = evaluate_check("regular_bounds", g)
         if not (rep.applicable and rep.holds):
             failures += 1
         if rep.sharp:
@@ -173,7 +168,7 @@ def test_criterion_08_leaf_condition_trees():
     for n in range(2, 11):
         for t in free_trees(n):
             count += 1
-            rep = check_leaf_condition(t)
+            rep = evaluate_check("lemma42", t)
             if not (rep.applicable and rep.holds):
                 failures += 1
     ok = failures == 0 and count == 200

@@ -17,8 +17,7 @@ from sigdom.graphs import (
     parse_graph6,
     write_graph6,
 )
-from sigdom.solvers import istdn
-from sigdom.verification import CheckReport
+from sigdom.solvers import ParameterResult, SignedFunction, istdn
 
 CUBIC = str(Path(__file__).resolve().parent.parent / "data" / "cubic_upto10.g6")
 HR4 = write_graph6(build_matched_multipartite(4).graph)
@@ -222,8 +221,7 @@ def test_verify_file_input(capsys, monkeypatch, tmp_path):
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
     from sigdom import verification
 
-    fake = lambda facts: CheckReport("t22", facts.graph6, 1, 0, False, False)
-    monkeypatch.setitem(verification._PLAIN_CHECKS, "t22", fake)
+    monkeypatch.setitem(verification.CHECKS, "t22", lambda facts: (1, 0, False, False, ""))
     code, out, _ = run_cli(
         capsys, monkeypatch, ["verify", "--suite", "t22"], stdin="A_\n"
     )
@@ -322,6 +320,12 @@ CONTRACT_CASES = {
     "edgelist-empty-graph": (
         ["verify", "--suite", "all", "--format", "edgelist"], "0\n", "<stdin>"
     ),
+    # no check is stated for the empty graph, so every suite refuses it
+    "edgelist-empty-graph-turan": (
+        ["verify", "--suite", "turan", "--format", "edgelist"], "0\n", "<stdin>"
+    ),
+    "graph6-empty-graph-turan": (["verify", "--suite", "turan"], "A_\n?\n", "<stdin>:2"),
+    "graph6-empty-graph-t43": (["verify", "--suite", "t43"], "A_\n?\n", "<stdin>:2"),
     "missing-input": (
         ["verify", "--suite", "all", "--input", "{tmp}/missing.g6"], "",
         "{tmp}/missing.g6",
@@ -379,6 +383,36 @@ def test_error_after_good_records_keeps_their_output(capsys, monkeypatch):
         )
         assert code == 2
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["A_", "C~"]
+
+
+C4 = write_graph6(cycle_graph(4))
+#: A witness of C4's optimum value that fails at a vertex: under (1, -1, 1, -1)
+#: N(1) sums to 2 > 0, and no neighbour of 0 lies in {0, 2}.
+BAD_C4_WITNESS = {
+    "istdn": ParameterResult(0, SignedFunction((1, -1, 1, -1), 0), 0),
+    "td": ParameterResult(2, frozenset({0, 2}), 0),
+}
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("param", sorted(BAD_C4_WITNESS))
+def test_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, command, param):
+    from sigdom import verification
+
+    real = cli._PARAM_SOLVERS[param]
+    solve = lambda g: BAD_C4_WITNESS[param] if write_graph6(g) == C4 else real(g)
+    monkeypatch.setitem(cli._PARAM_SOLVERS, param, solve)
+    monkeypatch.setattr(verification, real.__name__, solve)
+    argv = (["compute", "--param", param] if command == "compute"
+            else ["verify", "--suite", "t22"])
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], f"C~\n{C4}\n")
+        assert code == 1
+        assert err == f"sigdom: error: <stdin>:2: {param} witness fails its re-check\n"
+        assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
+        runs.append((out, err))
+    assert runs[0] == runs[1]
 
 
 _G6_CHARS = "".join(chr(c) for c in range(63, 127)) + " \n"

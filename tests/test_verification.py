@@ -13,18 +13,12 @@ from sigdom.graphs import (
     cycle_graph,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from sigdom.verification import (
     CHECK_IDS,
     CheckReport,
     SuiteSummary,
-    check_clique_constrained_upper,
-    check_cubic_floor,
-    check_leaf_condition,
-    check_regular_identities,
-    check_regular_interval,
-    check_total_domination_upper,
-    check_tree_floor,
     evaluate_check,
     is_heawood_certificate,
     run_suite,
@@ -33,48 +27,48 @@ from sigdom.trees import free_trees
 
 
 def test_t22_examples():
-    rep = check_total_domination_upper(complete_graph(5))
+    rep = evaluate_check("t22", complete_graph(5))
     assert (rep.lhs, rep.rhs, rep.holds, rep.sharp) == (-1, -1, True, True)
-    rep = check_total_domination_upper(cycle_graph(6))
+    rep = evaluate_check("t22", cycle_graph(6))
     assert (rep.lhs, rep.rhs, rep.holds, rep.sharp) == (-2, -2, True, True)
-    rep = check_total_domination_upper(complete_bipartite_graph(4, 4))
+    rep = evaluate_check("t22", complete_bipartite_graph(4, 4))
     assert (rep.lhs, rep.rhs, rep.holds, rep.sharp) == (0, 2, True, False)
 
 
 def test_t22_inapplicable_on_disconnected():
-    rep = check_total_domination_upper(Graph(4, [(0, 1), (2, 3)]))
+    rep = evaluate_check("t22", Graph(4, [(0, 1), (2, 3)]))
     assert not rep.applicable and rep.holds
 
 
 def test_clique_bound_exact_cases():
-    rep = check_clique_constrained_upper(cycle_graph(4), 2)
+    rep = evaluate_check("turan", cycle_graph(4), turan_r=2)
     assert rep.holds and rep.sharp and rep.rhs == 0 and "exact" in rep.notes
     h3 = build_matched_multipartite(3).graph
-    rep = check_clique_constrained_upper(h3, 3)
+    rep = evaluate_check("turan", h3, turan_r=3)
     assert rep.holds and rep.sharp and rep.rhs == 6 and "exact" in rep.notes
 
 
 def test_clique_bound_float_case():
-    rep = check_clique_constrained_upper(cycle_graph(5), 2)
+    rep = evaluate_check("turan", cycle_graph(5), turan_r=2)
     assert rep.holds and not rep.sharp and "float" in rep.notes
     assert rep.lhs == -1
     assert abs(rep.rhs - (5 - 2 * (-1 + 11 ** 0.5))) < 1e-12
 
 
 def test_clique_bound_inapplicable():
-    rep = check_clique_constrained_upper(complete_graph(4), 2)
+    rep = evaluate_check("turan", complete_graph(4), turan_r=2)
     assert not rep.applicable and "clique" in rep.notes
-    rep = check_clique_constrained_upper(complete_graph(4), 4)
+    rep = evaluate_check("turan", complete_graph(4), turan_r=4)
     assert rep.applicable and rep.holds
     with pytest.raises(ValueError):
-        check_clique_constrained_upper(cycle_graph(4), 1)
+        evaluate_check("turan", cycle_graph(4), turan_r=1)
 
 
 def test_regular_identities_examples():
     for g in (complete_graph(4), cycle_graph(4), path_graph(2), complete_graph(2)):
-        rep = check_regular_identities(g)
+        rep = evaluate_check("regular_identities", g)
         assert rep.applicable and rep.holds, rep.notes
-    rep = check_regular_identities(complete_bipartite_graph(2, 3))
+    rep = evaluate_check("regular_identities", complete_bipartite_graph(2, 3))
     assert not rep.applicable
 
 
@@ -87,7 +81,7 @@ def test_regular_identities_are_independent_of_the_cover_engine(monkeypatch):
     )
     circulant = Graph(8, [(i, (i + s) % 8) for i in range(8) for s in (1, 2)])
     graphs = (complete_graph(4), petersen, circulant)
-    assert all(check_regular_identities(g).holds for g in graphs)
+    assert all(evaluate_check("regular_identities", g).holds for g in graphs)
 
     real = solvers._solve_ktuple
 
@@ -99,25 +93,25 @@ def test_regular_identities_are_independent_of_the_cover_engine(monkeypatch):
     # the signed solvers and the tuple minima now err alike; a check that
     # took both sides from the cover engine could miss the mutation
     for g in graphs:
-        rep = check_regular_identities(g)
+        rep = evaluate_check("regular_identities", g)
         assert rep.applicable and not rep.holds, rep.notes
 
 
 def test_regular_identities_on_cycles():
     for n in range(3, 11):
-        rep = check_regular_identities(cycle_graph(n))
+        rep = evaluate_check("regular_identities", cycle_graph(n))
         assert rep.applicable and rep.holds, rep.notes
 
 
 def test_regular_interval_examples():
-    rep = check_regular_interval(cycle_graph(3))
+    rep = evaluate_check("regular_bounds", cycle_graph(3))
     assert rep.holds and rep.sharp and "lower" in rep.notes
-    rep = check_regular_interval(cycle_graph(4))
+    rep = evaluate_check("regular_bounds", cycle_graph(4))
     assert rep.holds and rep.sharp and "upper" in rep.notes
-    rep = check_regular_interval(complete_graph(4))
+    rep = evaluate_check("regular_bounds", complete_graph(4))
     assert rep.holds and not rep.sharp
     assert Fraction(-20, 7) <= rep.lhs <= Fraction(-4, 3)
-    rep = check_regular_interval(path_graph(4))
+    rep = evaluate_check("regular_bounds", path_graph(4))
     assert not rep.applicable
 
 
@@ -134,46 +128,78 @@ def test_heawood_certificate():
 
 
 def test_cubic_floor_examples():
-    rep = check_cubic_floor(complete_graph(4))
+    rep = evaluate_check("cubic", complete_graph(4))
     assert rep.holds and rep.lhs == -2 and rep.rhs == Fraction(-8, 3)
-    rep = check_cubic_floor(complete_bipartite_graph(3, 3))
+    rep = evaluate_check("cubic", complete_bipartite_graph(3, 3))
     assert rep.holds and rep.lhs == -2
-    rep = check_cubic_floor(build_heawood())
+    rep = evaluate_check("cubic", build_heawood())
     assert rep.holds and "exception" in rep.notes
     assert rep.lhs == -10
-    rep = check_cubic_floor(cycle_graph(5))
+    rep = evaluate_check("cubic", cycle_graph(5))
     assert not rep.applicable
 
 
 def test_leaf_condition_examples():
     for t in (path_graph(4), star_graph(5), Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])):
-        rep = check_leaf_condition(t)
+        rep = evaluate_check("lemma42", t)
         assert rep.applicable and rep.holds
-    rep = check_leaf_condition(path_graph(15))
+    rep = evaluate_check("lemma42", path_graph(15))
     assert not rep.applicable and "cap" in rep.notes
-    rep = check_leaf_condition(cycle_graph(5))
+    rep = evaluate_check("lemma42", cycle_graph(5))
     assert not rep.applicable
 
 
 def test_tree_floor_examples():
-    rep = check_tree_floor(path_graph(2))
+    rep = evaluate_check("t43", path_graph(2))
     assert rep.holds and rep.sharp and (rep.lhs, rep.rhs) == (-2, -2)
-    rep = check_tree_floor(star_graph(6))
+    rep = evaluate_check("t43", star_graph(6))
     assert rep.holds and rep.sharp and (rep.lhs, rep.rhs) == (-2, -2)
-    rep = check_tree_floor(path_graph(4))
+    rep = evaluate_check("t43", path_graph(4))
     assert rep.holds and not rep.sharp and (rep.lhs, rep.rhs) == (0, -4)
-    rep = check_tree_floor(cycle_graph(4))
+    rep = evaluate_check("t43", cycle_graph(4))
     assert not rep.applicable
 
 
 def test_report_json_schema():
-    rep = check_tree_floor(path_graph(4))
+    rep = evaluate_check("t43", path_graph(4))
     payload = json.loads(rep.json_line())
     assert list(payload) == ["check_id", "graph_id", "lhs", "rhs", "holds", "sharp", "notes"]
     assert payload["graph_id"] == "Ch"
-    rep = check_regular_interval(complete_graph(4))
+    rep = evaluate_check("regular_bounds", complete_graph(4))
     payload = json.loads(rep.json_line())
     assert isinstance(payload["rhs"], float)  # -4/3 is not integral
+
+
+TWO_K3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+TWO_K4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
+
+#: (check id, graph, reason): each way out of a check's scope, under r = 2;
+#: where a graph misses several preconditions, the first one named wins.
+INAPPLICABLE = [
+    ("t22", Graph(4, [(0, 1), (2, 3)]), "graph is not connected"),
+    ("t22", Graph(3, [(0, 1)]), "graph is not connected"),
+    ("turan", Graph(3, [(0, 1)]), "isolated vertex"),
+    ("turan", complete_graph(4), "contains a 4-clique > r=2"),
+    ("regular_identities", path_graph(4), "graph is not regular"),
+    ("regular_identities", TWO_K3, "graph is not connected"),
+    ("regular_identities", Graph(1, []), "isolated vertex"),
+    ("regular_bounds", path_graph(4), "graph is not regular"),
+    ("regular_bounds", TWO_K3, "graph is not connected"),
+    ("regular_bounds", Graph(1, []), "isolated vertex"),
+    ("cubic", complete_graph(5), "graph is not cubic"),
+    ("cubic", TWO_K4, "graph is not connected"),
+    ("lemma42", cycle_graph(5), "not a tree on >= 2 vertices"),
+    ("t43", cycle_graph(5), "not a tree on >= 2 vertices"),
+    ("lemma42", path_graph(15), "order above enumeration cap 14"),
+]
+
+
+@pytest.mark.parametrize("check_id, g, reason", INAPPLICABLE)
+def test_inapplicable_reasons(check_id, g, reason):
+    rep = evaluate_check(check_id, g, turan_r=2)
+    assert rep == CheckReport(
+        check_id, write_graph6(g), 0, 0, True, False, False, f"inapplicable: {reason}"
+    )
 
 
 def test_evaluate_check_dispatch():
