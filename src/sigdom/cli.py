@@ -3,7 +3,9 @@
 Subcommands: ``compute`` (parameters over a graph6/edge-list stream),
 ``verify`` (bound suites over a corpus), ``construct`` (named families to
 graph6), ``enumerate`` (free trees to graph6).  Results stream as JSONL or
-graph6 lines so the subcommands compose through pipes.
+graph6 lines so the subcommands compose through pipes.  ``--jobs J``
+streams the records to J worker processes in batches sized by their
+measured cost, with output byte-identical to ``--jobs 1``.
 
 Exit codes: 0 all good, 1 a verified relation was violated or a witness
 failed its re-check, 2 usage, input or precondition error.  An error names
@@ -13,12 +15,14 @@ its location.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
+import itertools
 import json
 import sys
+import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .constructions import (
@@ -205,32 +209,65 @@ def _from_graph6(fn: Callable, g6: str):
     return fn(parse_graph6(g6))
 
 
-def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
-    """Yield fn(graph) for each record in input order, computed here for one
-    job and on ``jobs`` worker processes otherwise.  The first error record
-    is raised after the results before it; pending work is cancelled."""
-    if jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+#: Worker seconds a pool batch aims at, and the most records it holds.
+_BATCH_SECONDS = 0.02
+_BATCH_MAX = 256
+
+
+def _batch(fn: Callable, records: list) -> tuple[list, float]:
+    """_located over the records up to the first error, which ends the
+    list, and the seconds that took."""
+    start, results = time.perf_counter(), []
+    for record in records:
+        results.append(_located(fn, record))
+        if isinstance(results[-1], (_UsageError, WitnessError)):
+            break
+    return results, time.perf_counter() - start
+
+
+def _pooled(jobs: int, fn: Callable, records: Iterable) -> Iterator:
+    """_located results over the records, in input order, from ``jobs``
+    worker processes.  Records are read and sent as graph6 one batch at a
+    time, at most 2 * jobs batches in flight: one record first, then as many
+    as take _BATCH_SECONDS at the seconds per record measured so far.  The
+    pool and its imports wait for the first batch, so empty input starts no
+    process; closing this generator cancels the pending batches."""
+    records, pending, pool = iter(records), collections.deque(), None
+    task, size, done, busy = partial(_batch, partial(_from_graph6, fn)), 1, 0, 0.0
     try:
-        if pool is None:
-            results = map(partial(_located, fn), records)
-        else:
-            # pool.map submits every record before it yields a result: list
-            # them first, or finished results pile up here while they are
-            # built.  Every record fits graph6, and listed so they take less
-            # memory than Graphs.
-            listed = [r if isinstance(r, _UsageError) else (r[0], write_graph6(r[1]))
-                      for r in records]
-            results = pool.map(partial(_located, partial(_from_graph6, fn)), listed,
-                               chunksize=4)
-        for result in results:
-            if isinstance(result, (_UsageError, WitnessError)):
-                raise result
-            yield result
+        while True:
+            while len(pending) < 2 * jobs and (batch := [
+                    r if isinstance(r, _UsageError) else (r[0], write_graph6(r[1]))
+                    for r in itertools.islice(records, size)]):
+                if pool is None:
+                    from concurrent.futures import ProcessPoolExecutor
+                    pool = ProcessPoolExecutor(max_workers=jobs)
+                pending.append(pool.submit(task, batch))
+            if not pending:
+                return
+            results, seconds = pending.popleft().result()
+            done, busy = done + len(results), busy + seconds
+            size = min(_BATCH_MAX, max(1, int(_BATCH_SECONDS * done / max(busy, 1e-9))))
+            yield from results
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
+    """Yield fn(graph) for each record in input order, computed here for one
+    job and by _pooled otherwise.  The first error record is raised after
+    the results before it; pending work is cancelled."""
+    if jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
+    results = (map(partial(_located, fn), records) if jobs == 1
+               else _pooled(jobs, fn, records))
+    for result in results:
+        if isinstance(result, (_UsageError, WitnessError)):
+            if jobs > 1:
+                results.close()
+            raise result
+        yield result
 
 
 def _witness_payload(witness) -> list[int]:

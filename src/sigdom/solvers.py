@@ -40,7 +40,7 @@ SEARCH_NODE_BUDGET = 10_000_000
 
 
 def _require_positive_min_degree(g: Graph) -> None:
-    if g.n == 0 or min_degree(g) == 0:
+    if min_degree(g) == 0:  # min_degree refuses the empty graph itself
         raise ValueError("isolated vertex: solvers need minimum degree >= 1")
 
 

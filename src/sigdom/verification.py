@@ -454,8 +454,9 @@ def run_suite(
     ``mapper(fn, graphs)`` replaces ``map``, e.g. to run ``fn``, which gives
     one graph's reports, in worker processes; it must keep corpus order.
     """
-    wanted = [cid for cid in CHECK_IDS if cid in set(check_ids)]
-    unknown = set(check_ids) - set(CHECK_IDS)
+    check_ids = set(check_ids)
+    wanted = [cid for cid in CHECK_IDS if cid in check_ids]
+    unknown = check_ids - set(CHECK_IDS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     summary = SuiteSummary()

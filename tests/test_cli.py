@@ -2,6 +2,10 @@ import collections
 import contextlib
 import io
 import json
+import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +22,7 @@ from sigdom.graphs import (
     write_graph6,
 )
 from sigdom.solvers import ParameterResult, SignedFunction, istdn
+from sigdom.verification import CHECK_IDS
 
 CUBIC = str(Path(__file__).resolve().parent.parent / "data" / "cubic_upto10.g6")
 HR4 = write_graph6(build_matched_multipartite(4).graph)
@@ -154,6 +159,14 @@ def test_compute_rejects_isolated_vertex(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["compute", "--param", "istdn"], stdin="A?\n")
     assert code == 2
     assert "isolated" in err and ":1" in err
+
+
+def test_compute_names_the_empty_graph(capsys, monkeypatch):
+    for jobs in ("1", "2"):
+        code, _, err = run_cli(
+            capsys, monkeypatch, ["compute", "--param", "td", "--jobs", jobs], stdin="?\n"
+        )
+        assert (code, err) == (2, "sigdom: error: <stdin>:1: empty graph has no degrees\n")
 
 
 def test_compute_reports_parse_errors_with_line(capsys, monkeypatch):
@@ -326,6 +339,7 @@ CONTRACT_CASES = {
     ),
     "graph6-empty-graph-turan": (["verify", "--suite", "turan"], "A_\n?\n", "<stdin>:2"),
     "graph6-empty-graph-t43": (["verify", "--suite", "t43"], "A_\n?\n", "<stdin>:2"),
+    "graph6-empty-graph-compute": (["compute", "--param", "td"], "A_\n?\n", "<stdin>:2"),
     "missing-input": (
         ["verify", "--suite", "all", "--input", "{tmp}/missing.g6"], "",
         "{tmp}/missing.g6",
@@ -383,6 +397,64 @@ def test_error_after_good_records_keeps_their_output(capsys, monkeypatch):
         )
         assert code == 2
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["A_", "C~"]
+
+
+CORPUS_500 = (Path(CUBIC).parent / "connected_upto8.g6").read_text().splitlines()[:500]
+
+
+# a failure far past the first pool batches: (argv, stdin lines, exit code,
+# line of the failing record)
+DEEP_FAILURES = {
+    "malformed-line-501": (["verify", "--suite", "all"], CORPUS_500 + ["A!"], 2, 501),
+    "isolated-vertex-line-501": (["compute", "--param", "td"], CORPUS_500 + ["A?"], 2, 501),
+    "witness-line-300": (["compute", "--param", "td"], CORPUS_500, 1, 300),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_FAILURES)
+def test_jobs_match_serial_on_a_deep_failure(capsys, monkeypatch, case):
+    argv, lines, exit_code, line = DEEP_FAILURES[case]
+    if case == "witness-line-300":
+        # the pool's workers are forked from this process, so they inherit it
+        real, line_300 = cli._PARAM_SOLVERS["td"], parse_graph6(CORPUS_500[299])
+        monkeypatch.setitem(cli._PARAM_SOLVERS, "td", lambda g: (
+            ParameterResult(0, frozenset(), 0) if g == line_300 else real(g)))
+    stdin = "".join(g6 + "\n" for g6 in lines)
+    runs = [run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], stdin)
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == exit_code and err.startswith(f"sigdom: error: <stdin>:{line}: ")
+    reports = len(CHECK_IDS) if argv[0] == "verify" else 1
+    assert len(out.splitlines()) == reports * (line - 1)
+
+
+def test_pool_reads_input_lazily():
+    pulled = 0
+
+    def records():
+        nonlocal pulled
+        for i in range(10_000):
+            pulled += 1
+            yield f"<test>:{i + 1}", cycle_graph(3)
+
+    run = cli._run(2, operator.attrgetter("n"), records())
+    assert next(run) == 3
+    run.close()
+    assert 0 < pulled <= 2 * 2 * cli._BATCH_MAX
+
+
+@pytest.mark.parametrize("jobs, stdin", [("2", ""), ("1", "C~\n")])
+def test_no_pool_for_one_job_or_empty_input(jobs, stdin):
+    script = ("import sys; from sigdom.cli import main; main(sys.argv[1:]); "
+              "print('multiprocessing' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    ran = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--suite", "all", "--jobs", jobs],
+        input=stdin, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert ran.stdout.splitlines()[-1] == "False"
 
 
 C4 = write_graph6(cycle_graph(4))

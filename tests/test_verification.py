@@ -254,6 +254,14 @@ def test_run_suite_empty_and_unknown():
         run_suite([], ["nope"])
 
 
+def test_run_suite_reads_check_ids_once():
+    corpus = [path_graph(4), cycle_graph(5), star_graph(6)]
+    ids = ["t22", "t43"]
+    summary = run_suite(corpus, ids)
+    assert sorted(summary.counts) == ids
+    assert run_suite(corpus, (cid for cid in ids)).json_line() == summary.json_line()
+
+
 def test_suite_summary_failure_ordering():
     summary = SuiteSummary()
     mk = lambda cid, gid: CheckReport(cid, gid, 0, 0, False, False)
