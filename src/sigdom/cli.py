@@ -4,8 +4,8 @@ Subcommands: ``compute`` (parameters over a graph6/edge-list stream),
 ``verify`` (bound suites over a corpus), ``construct`` (named families to
 graph6), ``enumerate`` (free trees to graph6).  Results stream as JSONL or
 graph6 lines so the subcommands compose through pipes.  ``--jobs J``
-streams the records to J worker processes in batches sized by their
-measured cost, with output byte-identical to ``--jobs 1``.
+streams the records to J worker processes, at most one per CPU, in batches
+sized by their measured cost, with output byte-identical to ``--jobs 1``.
 
 Exit codes: 0 all good, 1 a verified relation was violated or a witness
 failed its re-check, 2 usage, input or precondition error.  An error names
@@ -20,6 +20,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -40,7 +41,6 @@ from .graphs import (
     max_degree,
     min_degree,
     parse_edge_list,
-    parse_graph6,
     path_graph,
     star_graph,
     stream_graph6,
@@ -191,8 +191,9 @@ def _records(args) -> Iterator[tuple[str, Graph] | _UsageError]:
         yield _UsageError(str(exc) if args.format == "graph6" else f"{source}: {exc}")
 
 
-def _located(fn: Callable, record: tuple[str, Graph | str] | _UsageError):
-    """fn(graph) for one record, or its located error, returned in place."""
+def _located(fn: Callable, record: tuple[str, Graph] | _UsageError):
+    """fn(graph) for one record, or its located error, returned in place,
+    by this process for one job and by the pool workers otherwise."""
     if isinstance(record, _UsageError):
         return record
     where, g = record
@@ -202,11 +203,6 @@ def _located(fn: Callable, record: tuple[str, Graph | str] | _UsageError):
         return WitnessError(f"{where}: {exc}")
     except ValueError as exc:
         return _UsageError(f"{where}: {exc}")
-
-
-def _from_graph6(fn: Callable, g6: str):
-    """fn of the graph a pool record carries as its graph6 string."""
-    return fn(parse_graph6(g6))
 
 
 #: Worker seconds a pool batch aims at, and the most records it holds.
@@ -227,21 +223,22 @@ def _batch(fn: Callable, records: list) -> tuple[list, float]:
 
 def _pooled(jobs: int, fn: Callable, records: Iterable) -> Iterator:
     """_located results over the records, in input order, from ``jobs``
-    worker processes.  Records are read and sent as graph6 one batch at a
-    time, at most 2 * jobs batches in flight: one record first, then as many
-    as take _BATCH_SECONDS at the seconds per record measured so far.  The
-    pool and its imports wait for the first batch, so empty input starts no
-    process; closing this generator cancels the pending batches."""
+    worker processes, at most one per CPU: a fork pool forks them all at the
+    first submit.  Records are sent as read, one batch at a time, at most two
+    per worker in flight: one record first, then as many as take
+    _BATCH_SECONDS at the seconds per record measured so far.  The pool and
+    its imports wait for the first batch, so empty input starts no process;
+    closing this generator cancels the pending batches."""
+    workers = min(jobs, os.cpu_count() or 1)
     records, pending, pool = iter(records), collections.deque(), None
-    task, size, done, busy = partial(_batch, partial(_from_graph6, fn)), 1, 0, 0.0
+    task, size, done, busy = partial(_batch, fn), 1, 0, 0.0
     try:
         while True:
-            while len(pending) < 2 * jobs and (batch := [
-                    r if isinstance(r, _UsageError) else (r[0], write_graph6(r[1]))
-                    for r in itertools.islice(records, size)]):
+            while len(pending) < 2 * workers and (
+                    batch := list(itertools.islice(records, size))):
                 if pool is None:
                     from concurrent.futures import ProcessPoolExecutor
-                    pool = ProcessPoolExecutor(max_workers=jobs)
+                    pool = ProcessPoolExecutor(max_workers=workers)
                 pending.append(pool.submit(task, batch))
             if not pending:
                 return
@@ -260,12 +257,11 @@ def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
     the results before it; pending work is cancelled."""
     if jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    results = (map(partial(_located, fn), records) if jobs == 1
+    results = ((_located(fn, r) for r in records) if jobs == 1
                else _pooled(jobs, fn, records))
     for result in results:
         if isinstance(result, (_UsageError, WitnessError)):
-            if jobs > 1:
-                results.close()
+            results.close()
             raise result
         yield result
 
@@ -294,6 +290,8 @@ def _cmd_compute(args) -> int:
         raise _UsageError("--param ktd requires --k")
     if args.param != "ktd" and args.k is not None:
         raise _UsageError("--k is only meaningful with --param ktd")
+    if args.k is not None and args.k < 1:
+        raise _UsageError("--k must be >= 1")
     solve = partial(_compute_record, param=args.param, k=args.k)
     for line in _run(args.jobs, solve, _records(args)):
         print(line)

@@ -153,6 +153,14 @@ def test_compute_k_flag_validation(capsys, monkeypatch):
         capsys, monkeypatch, ["compute", "--param", "istdn", "--k", "2"], stdin="C~\n"
     )
     assert code == 2
+    # refused as a flag, not as a fault of the first record, or of no record
+    for stdin in ("", "C~\n"):
+        for jobs in ("1", "2"):
+            code, _, err = run_cli(
+                capsys, monkeypatch,
+                ["compute", "--param", "ktd", "--k", "0", "--jobs", jobs], stdin=stdin,
+            )
+            assert code == 2 and "--k" in err
 
 
 def test_compute_rejects_isolated_vertex(capsys, monkeypatch):
@@ -442,6 +450,55 @@ def test_pool_reads_input_lazily():
     assert next(run) == 3
     run.close()
     assert 0 < pulled <= 2 * 2 * cli._BATCH_MAX
+
+
+def test_pool_is_sized_by_the_cpu_count(capsys, monkeypatch):
+    import concurrent.futures
+
+    # (workers asked for, batches in flight, most batches in flight)
+    asked, flight = [], [0, 0]
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            flight[0] -= 1
+            return self.value
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def submit(self, fn, *args):
+            flight[0] += 1
+            flight[1] = max(flight)
+            return Done(fn(*args))
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    argv = ["verify", "--suite", "t43", "--trees-up-to", "9"]
+    serial = run_cli(capsys, monkeypatch, [*argv, "--jobs", "1"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_cli(capsys, monkeypatch, [*argv, "--jobs", "1000000"]) == serial
+    assert asked == [2] and flight[1] <= 2 * 2
+
+
+def test_pool_sends_graphs_without_graph6(capsys, monkeypatch):
+    encoded = []
+
+    def counted(g):
+        encoded.append(g)
+        return write_graph6(g)
+
+    # the workers fork after this patch, but count in their own memory
+    monkeypatch.setattr(cli, "write_graph6", counted)
+    code, _, _ = run_cli(
+        capsys, monkeypatch, ["verify", "--suite", "t43", "--trees-up-to", "9", "--jobs", "2"]
+    )
+    assert code == 0 and encoded == []
 
 
 @pytest.mark.parametrize("jobs, stdin", [("2", ""), ("1", "C~\n")])
