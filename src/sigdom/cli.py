@@ -125,12 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite over a corpus")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_verify.add_argument(
-        "--r",
-        type=int,
-        help="clique bound parameter for the turan suite "
-        "(default: smallest admissible r per graph)",
-    )
     add_input_opts(p_verify, trees=True)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -299,12 +293,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.r is not None and args.r < 2:
-        raise _UsageError("--r must be >= 2")
     summary = run_suite(
         _records(args),
         SUITES[args.suite],
-        turan_r=args.r,
         on_report=lambda rep: print(rep.json_line()),
         mapper=partial(_run, args.jobs),
     )

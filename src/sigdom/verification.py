@@ -9,11 +9,11 @@ tests, clique number, istdn optimum and tree structure are each computed
 once, on first use, and read by every check after that.  GraphFacts refuses
 the empty graph, for which no check is stated.  The regular-graph
 identities still take their signed side from their own labelling search.
-The istdn fact and t22's total domination number are read only after
-their witnesses pass a re-check.
-Inequalities compare exact integers or Fractions; the only floating-point
-comparison is the square-root bound of the clique-constrained check, and
-even that goes exact whenever the radicand is a perfect square.
+The istdn fact, t22's total domination number and every optimum the
+regular identities read are read only after their witnesses pass a re-check.
+Every comparison is exact, in integers or Fractions; no check compares
+floats.  Only the clique-constrained bound prints a rounded rhs, and only
+when its square root is irrational.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .solvers import (
     total_domination,
 )
 
-TURAN_EPS = 1e-9
 LEAF_CONDITION_ORDER_CAP = 14
 
 
@@ -238,42 +237,30 @@ def _t22(facts: GraphFacts) -> Outcome:
     return lhs, rhs, lhs <= rhs, lhs == rhs, f"gamma_t={gamma_t} delta={delta}"
 
 
-def _exact_sqrt(x: Fraction) -> Fraction | None:
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _turan(facts: GraphFacts, r: int | None) -> Outcome:
-    """istdn upper bound for graphs with no (r+1)-clique; with no r given,
-    the smallest admissible r = max(2, clique number).
+def _turan(facts: GraphFacts) -> Outcome:
+    """istdn upper bound for graphs with no (r+1)-clique, at the strongest
+    admissible r = max(2, clique number): the bound grows with r.
 
     rhs = n - r/(r-1) * (-c + sqrt(c^2 + 4*(r-1)/r*c*n)) with c = ceil(delta/2).
-    Exact rational arithmetic whenever the radicand is a perfect square,
-    float with a 1e-9 tolerance otherwise.
+    With p = (r-1)*(n - lhs) + r*c and q = r^2*c^2 + 4*r*(r-1)*c*n, lhs <= rhs
+    iff p >= 0 and p^2 >= q, with equality iff p >= 0 and p^2 == q: integers
+    decide both.  The reported rhs is exact when q is a perfect square and a
+    rounded float only when it is irrational.
     """
-    if r is None:
-        r = max(2, facts.clique_number)
-    if r < 2:
-        raise ValueError("clique bound needs r >= 2")
+    r = max(2, facts.clique_number)
     if facts.min_degree < 1:
         return "isolated vertex"
-    omega = facts.clique_number
-    if omega > r:
-        return f"contains a {omega}-clique > r={r}"
     n = facts.graph.n
     c = _ceil_div(facts.min_degree, 2)
-    radicand = Fraction(c * c) + Fraction(4 * (r - 1) * c * n, r)
     lhs = facts.istdn.value
-    root = _exact_sqrt(radicand)
-    if root is not None:
-        rhs = n - Fraction(r, r - 1) * (-c + root)
-        return lhs, rhs, Fraction(lhs) <= rhs, Fraction(lhs) == rhs, f"r={r} c={c} exact"
-    rhs = n - (r / (r - 1)) * (-c + math.sqrt(float(radicand)))
-    return (lhs, rhs, lhs <= rhs + TURAN_EPS, abs(lhs - rhs) <= TURAN_EPS,
-            f"r={r} c={c} float eps={TURAN_EPS}")
+    p = (r - 1) * (n - lhs) + r * c
+    q = r * r * c * c + 4 * r * (r - 1) * c * n
+    root = math.isqrt(q)
+    if root * root == q:
+        rhs, kind = n - Fraction(root - r * c, r - 1), "exact"
+    else:
+        rhs, kind = n - (r / (r - 1)) * (-c + math.sqrt(q / (r * r))), "rhs rounded"
+    return lhs, rhs, p >= 0 and p * p >= q, p >= 0 and p * p == q, f"r={r} c={c} {kind}"
 
 
 def _regular_identities(facts: GraphFacts) -> Outcome:
@@ -299,13 +286,17 @@ def _regular_identities(facts: GraphFacts) -> Outcome:
     up = _ceil_div(r, 2)
     up1 = _ceil_div(r + 1, 2)
     down = r // 2
-    chain = [res.value for res in ktuple_chain(graph, up1)]
+    chain = [recheck_witness(graph, "ktd", res, level).value
+             for level, res in enumerate(ktuple_chain(graph, up1), 1)]
     gamma_up = chain[up - 1]
     gamma_up1 = chain[up1 - 1]
     gamma_down = chain[down - 1] if down >= 1 else 0
-    ist = optimize_signed(graph, INVERSE_SIGNED_TOTAL).value
-    std = optimize_signed(graph, SIGNED_TOTAL).value
-    s2 = optimize_signed(graph, NEGATIVE_DECISION).value
+    ist, std, s2 = (
+        recheck_witness(graph, param, optimize_signed(graph, problem)).value
+        for param, problem in (("istdn", INVERSE_SIGNED_TOTAL),
+                               ("stdn", SIGNED_TOTAL),
+                               ("st2in", NEGATIVE_DECISION))
+    )
     eqs = {
         "istdn": ist == n - 2 * gamma_up,
         "stdn": std == 2 * gamma_up1 - n,
@@ -401,7 +392,7 @@ def _t43(facts: GraphFacts) -> Outcome:
 # ---------------------------------------------------------------------------
 
 #: Every check by id, in report order.
-CHECKS: dict[str, Callable[..., Outcome]] = {
+CHECKS: dict[str, Callable[[GraphFacts], Outcome]] = {
     "t22": _t22,
     "turan": _turan,
     "regular_identities": _regular_identities,
@@ -413,17 +404,12 @@ CHECKS: dict[str, Callable[..., Outcome]] = {
 CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
-def evaluate_check(
-    check_id: str, g: Graph | GraphFacts, *, turan_r: int | None = None
-) -> CheckReport:
-    """Run a single check by id on a graph or on the shared facts of one.
-    Only the clique-constrained bound takes ``turan_r``, its r; by default
-    it uses the smallest admissible r."""
+def evaluate_check(check_id: str, g: Graph | GraphFacts) -> CheckReport:
+    """Run a single check by id on a graph or on the shared facts of one."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
     facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
-    check = CHECKS[check_id]
-    outcome = check(facts, turan_r) if check_id == "turan" else check(facts)
+    outcome = CHECKS[check_id](facts)
     if isinstance(outcome, str):
         return CheckReport(check_id, facts.graph6, 0, 0, True, False, False,
                            f"inapplicable: {outcome}")
@@ -431,19 +417,16 @@ def evaluate_check(
     return CheckReport(check_id, facts.graph6, lhs, rhs, holds, sharp, notes=notes)
 
 
-def _evaluate_checks(
-    check_ids: list[str], turan_r: int | None, g: Graph
-) -> list[CheckReport]:
+def _evaluate_checks(check_ids: list[str], g: Graph) -> list[CheckReport]:
     """One graph's reports; its checks share one GraphFacts."""
     facts = GraphFacts(g)
-    return [evaluate_check(cid, facts, turan_r=turan_r) for cid in check_ids]
+    return [evaluate_check(cid, facts) for cid in check_ids]
 
 
 def run_suite(
     graphs: Iterable,
     check_ids: Iterable[str],
     *,
-    turan_r: int | None = None,
     on_report: Callable[[CheckReport], None] | None = None,
     mapper: Callable = map,
 ) -> SuiteSummary:
@@ -460,7 +443,7 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     summary = SuiteSummary()
-    for reports in mapper(partial(_evaluate_checks, wanted, turan_r), graphs):
+    for reports in mapper(partial(_evaluate_checks, wanted), graphs):
         for report in reports:
             summary.add(report)
             if on_report is not None:

@@ -269,25 +269,13 @@ def test_verify_computes_each_fact_once_per_graph(capsys, monkeypatch, source):
     assert max(calls.values()) == 1
 
 
-def test_verify_turan_r_flag(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        capsys, monkeypatch, ["verify", "--suite", "turan", "--r", "2"], stdin="Cl\n"
-    )
-    assert code == 0
-    summary = json.loads(out.strip().splitlines()[-1])
-    assert summary["summary"]["turan"] == {
-        "passed": 1, "failed": 0, "sharp": 1, "inapplicable": 0,
-    }
-    code, out, _ = run_cli(
-        capsys, monkeypatch, ["verify", "--suite", "turan", "--r", "2"], stdin="C~\n"
-    )
-    assert code == 0  # a 4-clique with r=2 is out of scope, not a failure
-    summary = json.loads(out.strip().splitlines()[-1])
-    assert summary["summary"]["turan"]["inapplicable"] == 1
-    code, _, err = run_cli(
-        capsys, monkeypatch, ["verify", "--suite", "turan", "--r", "1"], stdin="Cl\n"
-    )
-    assert code == 2 and "--r" in err
+def test_verify_has_no_r_flag(capsys, monkeypatch):
+    # turan checks each graph at r = max(2, clique number), the strongest r
+    monkeypatch.setattr("sys.stdin", io.StringIO("Cl\n"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "turan", "--r", "2"])
+    assert exc.value.code == 2
+    assert "--r" in capsys.readouterr().err
 
 
 def test_verify_jobs_matches_serial(capsys, monkeypatch):
@@ -540,6 +528,33 @@ def test_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, command, pa
         assert code == 1
         assert err == f"sigdom: error: <stdin>:2: {param} witness fails its re-check\n"
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
+        runs.append((out, err))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("param", ["istdn", "ktd"])
+def test_regular_identity_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, param):
+    from sigdom import verification
+
+    if param == "istdn":
+        real = verification.optimize_signed
+        solve = lambda g, problem: (
+            BAD_C4_WITNESS["istdn"]
+            if write_graph6(g) == C4 and problem == solvers.INVERSE_SIGNED_TOTAL
+            else real(g, problem))
+        monkeypatch.setattr(verification, "optimize_signed", solve)
+    else:
+        real = verification.ktuple_chain
+        chain = lambda g, k: (
+            [BAD_C4_WITNESS["td"], *real(g, k)[1:]] if write_graph6(g) == C4 else real(g, k))
+        monkeypatch.setattr(verification, "ktuple_chain", chain)
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["verify", "--suite", "regular", "--jobs", jobs], f"C~\n{C4}\n")
+        assert code == 1
+        assert err == f"sigdom: error: <stdin>:2: {param} witness fails its re-check\n"
+        assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~", "C~"]
         runs.append((out, err))
     assert runs[0] == runs[1]
 

@@ -1,7 +1,10 @@
 import dataclasses
+import decimal
+import functools
 import json
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from sigdom import solvers
@@ -41,27 +44,64 @@ def test_t22_inapplicable_on_disconnected():
 
 
 def test_clique_bound_exact_cases():
-    rep = evaluate_check("turan", cycle_graph(4), turan_r=2)
+    rep = evaluate_check("turan", cycle_graph(4))
     assert rep.holds and rep.sharp and rep.rhs == 0 and "exact" in rep.notes
     h3 = build_matched_multipartite(3).graph
-    rep = evaluate_check("turan", h3, turan_r=3)
+    rep = evaluate_check("turan", h3)
     assert rep.holds and rep.sharp and rep.rhs == 6 and "exact" in rep.notes
 
 
 def test_clique_bound_float_case():
-    rep = evaluate_check("turan", cycle_graph(5), turan_r=2)
-    assert rep.holds and not rep.sharp and "float" in rep.notes
+    rep = evaluate_check("turan", cycle_graph(5))
+    assert rep.holds and not rep.sharp and rep.notes == "r=2 c=1 rhs rounded"
     assert rep.lhs == -1
     assert abs(rep.rhs - (5 - 2 * (-1 + 11 ** 0.5))) < 1e-12
 
 
-def test_clique_bound_inapplicable():
-    rep = evaluate_check("turan", complete_graph(4), turan_r=2)
-    assert not rep.applicable and "clique" in rep.notes
-    rep = evaluate_check("turan", complete_graph(4), turan_r=4)
-    assert rep.applicable and rep.holds
-    with pytest.raises(ValueError):
-        evaluate_check("turan", cycle_graph(4), turan_r=1)
+#: Every Decimal in the clique-bound oracle is computed to 60 digits.
+_SIXTY_DIGITS = decimal.Context(prec=60)
+
+
+@functools.cache
+def _turan_rhs(n: int, delta: int, r: int) -> decimal.Decimal:
+    """The paper's bound n - r/(r-1) * (-c + sqrt(c^2 + 4(r-1)/r * c * n)),
+    c = ceil(delta/2)."""
+    with decimal.localcontext(_SIXTY_DIGITS):
+        c = decimal.Decimal(-(-delta // 2))
+        root = (c * c + 4 * (r - 1) * c * n / decimal.Decimal(r)).sqrt()
+        return n - decimal.Decimal(r) / (r - 1) * (root - c)
+
+
+def test_clique_bound_against_a_decimal_oracle(connected_upto8, cubic_upto10, quartic_5to9):
+    # omega, delta and the bound come from networkx and decimal, not from the check
+    corpus = connected_upto8 + cubic_upto10 + quartic_5to9
+    corpus += [t for n in range(2, 13) for t in free_trees(n)]
+    corpus += [build_matched_multipartite(r).graph for r in (2, 3, 4)]
+    reports = []
+    run_suite(corpus, ["turan"], on_report=reports.append)
+    assert len(reports) == len(corpus)
+    tiny = decimal.Decimal("1e-40")
+    for g, rep in zip(corpus, reports):
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        r = max(2, max(map(len, nx.find_cliques(h))))
+        delta = min(d for _, d in h.degree())
+        rhs = _turan_rhs(g.n, delta, r)
+        assert rep.applicable and f"r={r} " in rep.notes, rep
+        with decimal.localcontext(_SIXTY_DIGITS):
+            assert rep.holds == (rep.lhs <= rhs + tiny), rep
+            assert rep.sharp == (abs(rep.lhs - rhs) < tiny), rep
+            assert abs(decimal.Decimal(float(rep.rhs)) - rhs) < decimal.Decimal("1e-9"), rep
+        if "exact" in rep.notes:
+            # the reported rhs solves the bound's equation exactly
+            c = -(-delta // 2)
+            root = (g.n - Fraction(rep.rhs)) * (r - 1) / r + c
+            assert root >= 0 and root * root == c * c + Fraction(4 * (r - 1) * c * g.n, r), rep
+        else:
+            assert isinstance(rep.rhs, float), rep
+        # the bound grows with r: the smallest admissible r is the strongest
+        bounds = [_turan_rhs(g.n, delta, k) for k in range(r, r + 4)]
+        assert bounds == sorted(set(bounds)), rep
 
 
 def test_regular_identities_examples():
@@ -85,11 +125,14 @@ def test_regular_identities_are_independent_of_the_cover_engine(monkeypatch):
 
     real = solvers._solve_ktuple
 
-    def off_by_one(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return dataclasses.replace(res, value=res.value + 1)
+    def padded(g, *args, **kwargs):
+        # a feasible cover one vertex above the minimum: its witness passes
+        # the re-check, so only the identities can catch it
+        res = real(g, *args, **kwargs)
+        extra = min(set(range(g.n)) - res.witness)
+        return dataclasses.replace(res, value=res.value + 1, witness=res.witness | {extra})
 
-    monkeypatch.setattr(solvers, "_solve_ktuple", off_by_one)
+    monkeypatch.setattr(solvers, "_solve_ktuple", padded)
     # the signed solvers and the tuple minima now err alike; a check that
     # took both sides from the cover engine could miss the mutation
     for g in graphs:
@@ -173,13 +216,13 @@ def test_report_json_schema():
 TWO_K3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 TWO_K4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
 
-#: (check id, graph, reason): each way out of a check's scope, under r = 2;
-#: where a graph misses several preconditions, the first one named wins.
+#: (check id, graph, reason): each way out of a check's scope; where a
+#: graph misses several preconditions, the first one named wins.
 INAPPLICABLE = [
     ("t22", Graph(4, [(0, 1), (2, 3)]), "graph is not connected"),
     ("t22", Graph(3, [(0, 1)]), "graph is not connected"),
     ("turan", Graph(3, [(0, 1)]), "isolated vertex"),
-    ("turan", complete_graph(4), "contains a 4-clique > r=2"),
+    ("turan", Graph(1, []), "isolated vertex"),
     ("regular_identities", path_graph(4), "graph is not regular"),
     ("regular_identities", TWO_K3, "graph is not connected"),
     ("regular_identities", Graph(1, []), "isolated vertex"),
@@ -196,7 +239,7 @@ INAPPLICABLE = [
 
 @pytest.mark.parametrize("check_id, g, reason", INAPPLICABLE)
 def test_inapplicable_reasons(check_id, g, reason):
-    rep = evaluate_check(check_id, g, turan_r=2)
+    rep = evaluate_check(check_id, g)
     assert rep == CheckReport(
         check_id, write_graph6(g), 0, 0, True, False, False, f"inapplicable: {reason}"
     )
