@@ -17,6 +17,15 @@ with M, demanding ceil((deg v - s*b) / 2), and its value is
 s*(n - 2 min|M|).  ktd and td cover with D, demanding k or 1; their value
 is min|D|.
 
+The cover search branches on the most constrained vertex, after Knuth's
+Algorithm X: a vertex with demand left whose undecided neighbours exceed
+that demand by the least.  When they equal it, all of them are forced in
+one step; otherwise the search takes or rules out that neighbour of it
+which meets the most outstanding demand.  A branch dies once its picks
+plus ceil(outstanding demand / largest undecided degree) reach the best
+cover known.  The search is seeded with a greedy cover and skipped when
+that cover meets a lower bound.
+
 ``optimize_signed`` is kept as an independent search over the labellings
 themselves.  On an r-regular graph the signed demands are constant, so the
 regular-graph identities take their signed side from it; from the cover
@@ -120,7 +129,8 @@ def recheck_witness(
     """``result`` of ``param`` (istdn, stdn, st2in, td or ktd at level k) on
     ``g``, once its witness is checked from scratch: a feasible labelling
     of weight ``value``, or a set of ``value`` vertices that each vertex
-    has at least k neighbours in.  Raises WitnessError otherwise."""
+    has at least k neighbours in.  Raises WitnessError otherwise; its
+    message names ktd's level, e.g. ``ktd (k=2)``."""
     w = result.witness
     if param in _SIGNED_PROBLEMS:
         ok = (len(w.values) == g.n and set(w.values) <= {-1, 1}
@@ -131,7 +141,8 @@ def recheck_witness(
         ok = (len(w) == result.value == mask.bit_count()
               and all((a & mask).bit_count() >= k for a in g.adj))
     if not ok:
-        raise WitnessError(f"{param} witness fails its re-check")
+        name = f"{param} (k={k})" if param == "ktd" else param
+        raise WitnessError(f"{name} witness fails its re-check")
     return result
 
 
@@ -250,75 +261,140 @@ def _cover_search(
     one and tightens ``best``, and the search stops once ``best == lower``.
     Without ``lower`` the bound stays put and every cover is kept.  With
     ``best`` one above the minimum those are exactly the minimum covers,
-    each recorded once: no proper subset of a minimum cover is a cover, so
-    the search reaches each one as it takes the cover's last vertex in
-    branch order.
+    each recorded once: the two branches of a node disagree on a vertex, so
+    no two leaves hold the same set, and a branch stops as soon as its set
+    covers, which no proper subset of a minimum cover does.
 
-    Pruning: a vertex with more demand left than undecided neighbours kills
-    the branch, and so does outstanding demand that needs too many more
-    picks.  Vertices are decided in descending degree, so each later pick
-    settles at most the degree of the next vertex in order.
+    Branching takes the fewest remaining options first (Knuth, "Dancing
+    links", arXiv cs/0011047).  A vertex with demand left is hungry; its
+    slack is its undecided neighbours minus its demand left.  Taking a
+    neighbour keeps the slack and ruling one out lowers it.  A hungry vertex
+    of slack 0 is tight, and the forced step takes all of its undecided
+    neighbours in one node with no second branch.  Otherwise the search
+    picks the hungry vertex of least slack (lowest index on ties) and
+    branches on its undecided neighbour with the most hungry neighbours
+    (lowest index on ties): take it, or rule it out.  Every slack is then at
+    least 1, so ruling out never leaves a vertex that cannot be covered.
+
+    Pruning: a node dies when the picks it already holds plus the picks its
+    outstanding demand still needs reach ``best``.  One pick settles at
+    most the degree of an undecided vertex; the largest one comes from one
+    vertex mask per degree class.  A forced step also dies when its picks
+    alone would reach ``best``.
+
+    The undecided, hungry and tight vertices are bitmasks passed down the
+    recursion; the demand left and the slack of each vertex are integer
+    arrays changed in place and restored on the way back.
     """
-    n = g.n
-    degrees = g.degrees()
-    order = _branch_order(degrees)
-    # the most demand one more pick can settle at depth i and below
-    reach = [degrees[u] for u in order]
-    neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
-
+    adj = g.adj
     need = list(demand)  # demand left; taking a neighbour lowers it
-    # undecided neighbours minus demand left; only skipping a neighbour
-    # lowers it, and below zero the vertex can no longer be covered
-    slack = [d - k for d, k in zip(degrees, demand)]
+    slack = []  # undecided neighbours minus demand left, read while hungry
+    classes: dict[int, int] = {}
+    hungry = tight = outstanding = 0
+    bit = 1
+    for d, k in zip(map(int.bit_count, adj), need):
+        classes[d] = classes.get(d, 0) | bit
+        slack.append(d - k)
+        if k:
+            hungry |= bit
+            outstanding += k
+            if d == k:
+                tight |= bit
+        bit <<= 1
+    # (degree, vertices of that degree), largest degree first
+    reach_classes = sorted(classes.items(), reverse=True)
     chosen: list[int] = []
-    outstanding = sum(demand)
     covers: list[frozenset[int]] = []
     nodes = 0
     budget = SEARCH_NODE_BUDGET
 
-    def dfs(i: int) -> None:
-        nonlocal best, nodes, outstanding
+    def dfs(undecided: int, hungry: int, tight: int, outstanding: int) -> None:
+        nonlocal best, nodes
         if best == lower:
             return
-        if outstanding == 0:
-            # the bound below keeps every cover reached smaller than best
+        if not hungry:
+            # the bounds below keep every cover reached smaller than best
             if lower is not None:
                 best = len(chosen)
                 covers.clear()
             covers.append(frozenset(chosen))
             return
-        if i == n:
+        for reach, mask in reach_classes:
+            if mask & undecided:
+                break
+        if len(chosen) + (outstanding + reach - 1) // reach >= best:
             return
-        if len(chosen) + (outstanding + reach[i] - 1) // reach[i] >= best:
-            return
-        u = order[i]
-        nbrs = neighbor_lists[u]
-        nodes += 2
+        if tight:
+            # forced: every undecided neighbour of a tight vertex
+            take = adj[(tight & -tight).bit_length() - 1] & undecided
+            if len(chosen) + take.bit_count() >= best:
+                return
+            nodes += 1
+        else:
+            # every slack is >= 1 here; the least, lowest index first
+            least = len(adj)
+            rest = hungry
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                if slack[w] < least:
+                    least, v = slack[w], w
+                    if least == 1:
+                        break
+            most = -1
+            rest = adj[v] & undecided
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = (adj[low.bit_length() - 1] & hungry).bit_count()
+                if c > most:
+                    most, take = c, low
+            nodes += 2  # one per branch
         if nodes > budget:
             raise ValueError(f"cover search passed the {budget}-node budget")
-        settled = 0
-        for v in nbrs:
-            need[v] -= 1
-            if need[v] >= 0:
-                settled += 1
-        outstanding -= settled
-        chosen.append(u)
-        dfs(i + 1)
-        chosen.pop()
-        outstanding += settled
-        for v in nbrs:
-            need[v] += 1
-        ok = True
-        for v in nbrs:
-            slack[v] -= 1
-            if slack[v] < 0:
-                ok = False
-        if ok:
-            dfs(i + 1)
-        for v in nbrs:
-            slack[v] += 1
+        size = len(chosen)
+        settled = []
+        left = hungry
+        rest = take
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            chosen.append(u)
+            hit = adj[u] & left
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                w = low.bit_length() - 1
+                settled.append(w)
+                need[w] -= 1
+                if not need[w]:
+                    left ^= low
+        # each settled entry is one unit of demand met
+        dfs(undecided ^ take, left, tight & left, outstanding - len(settled))
+        del chosen[size:]
+        for w in settled:
+            need[w] += 1
+        if tight:
+            return
+        # rule the vertex out: its neighbours with demand lose one option
+        hit = adj[u] & hungry
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            w = low.bit_length() - 1
+            slack[w] -= 1
+            if not slack[w]:
+                tight |= low
+        dfs(undecided ^ take, hungry, tight, outstanding)
+        hit = adj[u] & hungry
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            slack[low.bit_length() - 1] += 1
 
-    dfs(0)
+    dfs((1 << len(adj)) - 1, hungry, tight, outstanding)
     return covers, nodes
 
 

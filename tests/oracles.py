@@ -41,17 +41,26 @@ def brute_signed(g: Graph, sense: str, bound: int, maximize: bool):
     return best, count
 
 
-def brute_ktuple(g: Graph, k: int) -> int:
-    """Smallest |D| with |N(v) & D| >= k for all v, by subset sweep."""
+def brute_cover(g: Graph, demand) -> tuple[int, set[frozenset[int]]]:
+    """Smallest |S| with |N(v) & S| >= demand[v] for all v, and every S of
+    that size, by subset sweep."""
     n = g.n
-    for size in range(1, n + 1):
+    for size in range(n + 1):
+        found = set()
         for subset in combinations(range(n), size):
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            if all((g.adj[v] & mask).bit_count() >= k for v in range(n)):
-                return size
-    raise AssertionError("no feasible set; k exceeds the minimum degree")
+            if all((g.adj[v] & mask).bit_count() >= demand[v] for v in range(n)):
+                found.add(frozenset(subset))
+        if found:
+            return size, found
+    raise AssertionError("no feasible set; a demand exceeds its degree")
+
+
+def brute_ktuple(g: Graph, k: int) -> int:
+    """Smallest |D| with |N(v) & D| >= k for all v, by subset sweep."""
+    return brute_cover(g, [k] * g.n)[0]
 
 
 def brute_clique(g: Graph) -> int:

@@ -31,7 +31,7 @@ from sigdom.solvers import (
     stdn,
     total_domination,
 )
-from oracles import brute_ktuple, brute_signed, random_connected_graph
+from oracles import brute_cover, brute_ktuple, brute_signed, random_connected_graph
 
 PROBLEMS = {
     "istdn": (INVERSE_SIGNED_TOTAL, istdn),
@@ -153,7 +153,7 @@ def test_search_node_budget(monkeypatch):
     # node counts on Heawood: the cover search through stdn, and the
     # labelling search; each passes a budget one below its count
     g = build_heawood()
-    for solve, nodes in ((stdn, 476), (lambda h: optimize_signed(h, SIGNED_TOTAL), 532)):
+    for solve, nodes in ((stdn, 132), (lambda h: optimize_signed(h, SIGNED_TOTAL), 532)):
         monkeypatch.setattr(solvers, "SEARCH_NODE_BUDGET", nodes - 1)
         with pytest.raises(ValueError, match=f"passed the {nodes - 1}-node budget"):
             solve(g)
@@ -298,6 +298,29 @@ def test_cover_engine_matches_labelling_search_and_brute_force(g):
     assert [f.values for f in fs] == sorted(f.values for f in fs)
 
 
+@st.composite
+def graphs_with_demands(draw) -> tuple[Graph, list[int]]:
+    """A connected graph and any demand 0 <= d(v) <= deg v at each vertex."""
+    g = draw(connected_graphs())
+    return g, [draw(st.integers(0, d)) for d in g.degrees()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_demands())
+def test_cover_engine_on_arbitrary_demands(case):
+    # beyond the five parameters' demands: the minimum, a covering witness,
+    # and exactly the minimum covers, each once, from the enumerating mode
+    g, demand = case
+    size, minimum_covers = brute_cover(g, demand)
+    res = solvers._solve_ktuple(g, demand, max(demand))
+    mask = sum(1 << v for v in res.witness)
+    assert res.value == len(res.witness) == size
+    assert all((a & mask).bit_count() >= d for a, d in zip(g.adj, demand))
+    covers, _ = solvers._cover_search(g, demand, size + 1, None)
+    assert len(covers) == len(minimum_covers)
+    assert set(covers) == minimum_covers
+
+
 def test_st2in_with_zero_demand_everywhere():
     # every vertex has degree 1, so floor(deg/2) = 0: the empty minus set
     # covers, and the search closes at the root
@@ -310,12 +333,16 @@ def test_st2in_with_zero_demand_everywhere():
 #: A connected cubic graph with n = 24 from the configuration model (seed 2024).
 CUBIC_24 = "WK????K?C?GOE?_o?`?oC?C@D??A?O?_S?c?GE?@C????CD"
 
+#: The benchmark panel's fixed cubic graph with n = 30.
+CUBIC_30 = "]C??G??O_??GGH_A@????c?@@??_?P?I?C??@?K?SO??CC?O???GG??_@AC?A?@GAC@????QA?"
+
 #: Search nodes of (istdn, stdn, st2in) when these bounds were set.
 NODE_COUNTS = {
-    "C30": (cycle_graph(30), (222, 0, 222)),
-    "hr3": (build_matched_multipartite(3).graph, (0, 1272, 0)),
-    "heawood": (build_heawood(), (476, 476, 476)),
-    "cubic24": (parse_graph6(CUBIC_24), (1418, 1418, 1272)),
+    "C30": (cycle_graph(30), (156, 0, 156)),
+    "hr3": (build_matched_multipartite(3).graph, (0, 234, 0)),
+    "heawood": (build_heawood(), (132, 132, 58)),
+    "cubic24": (parse_graph6(CUBIC_24), (297, 297, 172)),
+    "cubic30": (parse_graph6(CUBIC_30), (1244, 1244, 352)),
 }
 
 
