@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .graphs import Graph, max_degree, min_degree
+from .graphs import Graph
 
 #: The most nodes one search may explore.  Work, not vertex count, decides
 #: what is out of reach: hr(4) (n = 48) closes at the root, while some
@@ -48,9 +48,13 @@ from .graphs import Graph, max_degree, min_degree
 SEARCH_NODE_BUDGET = 10_000_000
 
 
-def _require_positive_min_degree(g: Graph) -> None:
-    if min_degree(g) == 0:  # min_degree refuses the empty graph itself
+def _require_positive_min_degree(g: Graph) -> tuple[int, ...]:
+    """``g.degrees()``; raises on the empty graph and on an isolated vertex."""
+    if not (degrees := g.degrees()):
+        raise ValueError("empty graph has no degrees")
+    if min(degrees) == 0:
         raise ValueError("isolated vertex: solvers need minimum degree >= 1")
+    return degrees
 
 
 @dataclass(frozen=True)
@@ -146,12 +150,6 @@ def recheck_witness(
     return result
 
 
-def _branch_order(degrees: Sequence[int]) -> list[int]:
-    # Descending degree, ties by index: high-degree vertices constrain the
-    # most neighbourhoods early, and the total order makes runs reproducible.
-    return sorted(range(len(degrees)), key=lambda v: (-degrees[v], v))
-
-
 def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     """Exact optimum of a SignedProblem by depth-first branch and bound.
 
@@ -164,9 +162,11 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     all -1 labelling, which is always feasible, so the search is never
     unseeded.
     """
-    _require_positive_min_degree(g)
+    degrees = _require_positive_min_degree(g)
     n = g.n
-    order = _branch_order(g.degrees())
+    # Descending degree, ties by index: high-degree vertices constrain the
+    # most neighbourhoods early, and the total order makes runs reproducible.
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
     cap = problem.sign * problem.bound
 
     best_vals = [-1] * n
@@ -174,7 +174,7 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
 
     vals = [0] * n
     labeled = [0] * n          # sum of labelled neighbours
-    slack = list(g.degrees())  # number of unlabelled neighbours
+    slack = list(degrees)      # number of unlabelled neighbours
     nodes = 0
     budget = SEARCH_NODE_BUDGET
     neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
@@ -414,17 +414,17 @@ def _solve_ktuple(g: Graph, demand: Sequence[int], lower: int) -> ParameterResul
 # ---------------------------------------------------------------------------
 
 
-def _signed_demand(g: Graph, problem: SignedProblem) -> tuple[int, list[int]]:
+def _signed_demand(degrees: Sequence[int], problem: SignedProblem) -> tuple[int, list[int]]:
     """The label of the cover set M, -sign, and each vertex's demand on it,
     ceil((deg v - sign*bound) / 2)."""
     cap = problem.sign * problem.bound
-    return -problem.sign, [(d - cap + 1) // 2 for d in g.degrees()]
+    return -problem.sign, [(d - cap + 1) // 2 for d in degrees]
 
 
 def _signed_cover(g: Graph, problem: SignedProblem) -> ParameterResult:
-    _require_positive_min_degree(g)
-    label, demand = _signed_demand(g, problem)
-    lower = max(max(demand), -(-sum(demand) // max_degree(g)))
+    degrees = _require_positive_min_degree(g)
+    label, demand = _signed_demand(degrees, problem)
+    lower = max(max(demand), -(-sum(demand) // max(degrees)))
     res = _solve_ktuple(g, demand, lower)
     witness = SignedFunction.from_values(
         g, [label if v in res.witness else -label for v in range(g.n)]
@@ -456,11 +456,11 @@ def enumerate_maximum_istdfs(
     search with its bound pinned one above the minimum minus-set size.
     ``optimum``, when given, must be istdn(g); it spares the solve.
     """
-    _require_positive_min_degree(g)
+    degrees = _require_positive_min_degree(g)
     if optimum is None:
         optimum = istdn(g).value
     size = (g.n - optimum) // 2
-    _, demand = _signed_demand(g, INVERSE_SIGNED_TOTAL)
+    _, demand = _signed_demand(degrees, INVERSE_SIGNED_TOTAL)
     covers, _ = _cover_search(g, demand, size + 1, None)
     found = sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)
     return [SignedFunction.from_values(g, vals) for vals in found]
@@ -478,11 +478,10 @@ def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
     bound (removing one vertex from a level-j set leaves a level-(j-1) set,
     hence the minima ascend by at least one per level).
     """
-    _require_positive_min_degree(g)
-    delta = min_degree(g)
+    degrees = _require_positive_min_degree(g)
+    delta, big_delta = min(degrees), max(degrees)
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
-    big_delta = max_degree(g)
     results: list[ParameterResult] = []
     prev = None
     for level in range(1, k + 1):
