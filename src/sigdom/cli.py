@@ -349,8 +349,8 @@ def _cmd_construct(args) -> int:
             "params": params,
             "n": g.n,
             "m": g.m,
-            "min_degree": min_degree(g) if g.n else 0,
-            "max_degree": max_degree(g) if g.n else 0,
+            "min_degree": min_degree(g),
+            "max_degree": max_degree(g),
         }
         if closed_istdn is not None:
             info["expected_istdn"] = closed_istdn(*params)

@@ -82,10 +82,9 @@ NEGATIVE_DECISION = SignedProblem(1, 1)
 
 @dataclass(frozen=True)
 class SignedFunction:
-    """A total labelling V -> {-1,+1} with its weight."""
+    """A total labelling V -> {-1,+1}."""
 
     values: tuple[int, ...]
-    weight: int
 
     @classmethod
     def from_values(cls, g: Graph, values: Sequence[int]) -> "SignedFunction":
@@ -94,7 +93,7 @@ class SignedFunction:
             raise ValueError(f"labelling has {len(vals)} entries for n={g.n}")
         if any(v not in (-1, 1) for v in vals):
             raise ValueError("labels must be -1 or +1")
-        return cls(vals, sum(vals))
+        return cls(vals)
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,6 @@ class SuiteSummary:
     def ok(self) -> bool:
         return not self.failures
 
-    def sorted_failures(self) -> list[tuple[str, str]]:
-        return sorted(self.failures, key=lambda f: (f[1], f[0]))
-
     def json_line(self) -> str:
         return json.dumps(
             {
@@ -148,7 +145,7 @@ class SuiteSummary:
                 },
                 "failures": [
                     {"check_id": cid, "graph_id": gid}
-                    for cid, gid in self.sorted_failures()
+                    for cid, gid in sorted(self.failures, key=lambda f: (f[1], f[0]))
                 ],
             }
         )

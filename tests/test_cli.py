@@ -506,7 +506,7 @@ C4 = write_graph6(cycle_graph(4))
 #: A witness of C4's optimum value that fails at a vertex: under (1, -1, 1, -1)
 #: N(1) sums to 2 > 0, and no neighbour of 0 lies in {0, 2}.
 BAD_C4_WITNESS = {
-    "istdn": ParameterResult(0, SignedFunction((1, -1, 1, -1), 0), 0),
+    "istdn": ParameterResult(0, SignedFunction((1, -1, 1, -1)), 0),
     "td": ParameterResult(2, frozenset({0, 2}), 0),
 }
 

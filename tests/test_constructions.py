@@ -129,7 +129,7 @@ def test_matched_multipartite_canonical_labelling(r):
     built = build_matched_multipartite(r)
     f = SignedFunction.from_values(built.graph, built.canonical_labelling())
     assert is_feasible(built.graph, f, INVERSE_SIGNED_TOTAL)
-    assert f.weight == r * (r - 1) ** 2 - r * (r - 1)
+    assert sum(f.values) == r * (r - 1) ** 2 - r * (r - 1)
 
 
 def test_matched_multipartite_r2_is_four_cycle():

@@ -84,3 +84,11 @@ def test_canonical_form_self_test(make_corpus):
 def test_regular_corpus_reproduces_bundled_lines(make_corpus, request, corpus, r, n):
     bundled = [write_graph6(g) for g in request.getfixturevalue(corpus) if g.n == n]
     assert make_corpus.regular_corpus(n, r, len(bundled)) == bundled
+
+
+def test_connected_corpus_reproduces_bundled_lines(make_corpus, connected_upto8):
+    bundled = defaultdict(list)
+    for g in connected_upto8:
+        if g.n <= 6:
+            bundled[g.n].append(write_graph6(g))
+    assert make_corpus.connected_corpus(6) == bundled
