@@ -9,8 +9,9 @@ tests, clique number, istdn optimum and tree structure are each computed
 once, on first use, and read by every check after that.  GraphFacts refuses
 the empty graph, for which no check is stated.  The regular-graph
 identities still take their signed side from their own labelling search.
-The istdn fact, t22's total domination number and every optimum the
-regular identities read are read only after their witnesses pass a re-check.
+The istdn fact, t22's total domination number, every optimum the regular
+identities read and the labelling behind lemma42's shortfall are read only
+after their witnesses pass a re-check.
 Every comparison is exact, in integers or Fractions; no check compares
 floats.  Only the clique-constrained bound prints a rounded rhs, and only
 when its square root is irrational.
@@ -357,18 +358,20 @@ def _lemma42(facts: GraphFacts) -> Outcome:
     if facts.graph.n > LEAF_CONDITION_ORDER_CAP:
         return f"order above enumeration cap {LEAF_CONDITION_ORDER_CAP}"
     ts = facts.tree_structure
-    best_shortfall = None
+    best = None  # (shortfall, the optimum that has it)
     for f in enumerate_maximum_istdfs(facts.graph, optimum=facts.istdn.value):
         shortfall = min(
             sum(1 for u in ts.leaf_groups[v] if f.values[u] == 1) - c // 2
             for v, c in zip(ts.supports, ts.leaf_counts)
         )
-        if best_shortfall is None or shortfall > best_shortfall:
-            best_shortfall = shortfall
-        if best_shortfall >= 0:
+        if best is None or shortfall > best[0]:
+            best = shortfall, f
+        if best[0] >= 0:
             break
-    assert best_shortfall is not None
-    return (best_shortfall, 0, best_shortfall >= 0, best_shortfall == 0,
+    assert best is not None
+    shortfall, optimum = best
+    recheck_witness(facts.graph, "istdn", ParameterResult(facts.istdn.value, optimum, 0))
+    return (shortfall, 0, shortfall >= 0, shortfall == 0,
             "max-min surplus of +1 leaves over half the group size")
 
 

@@ -107,15 +107,16 @@ def test_criterion_04_clique_bound_sharpness():
     ok &= value == 6
     # c = 2, radicand 4 + 96 = 100: bound = 18 - 1.5*(-2 + 10) = 6 exactly
     ok &= 6 == h3.n - Fraction(3, 2) * (-2 + 10)
-    # r = 4, n = 48: istdn = r(r-1)^2 - r(r-1) = 24, closed at the root
+    # r = 4, n = 48: istdn = r(r-1)^2 - r(r-1) = 24, after one dive of 24
+    # nodes, two for each of the 12 minus vertices it picks
     h4 = build_matched_multipartite(4).graph
     res = istdn(h4)
-    ok &= (res.value, res.nodes_explored) == (24, 0) and 24 == 4 * 3**2 - 4 * 3
+    ok &= (res.value, res.nodes_explored) == (24, 24) and 24 == 4 * 3**2 - 4 * 3
     # c = 3, radicand 9 + 432 = 441: bound = 48 - (4/3)*(-3 + 21) = 24 exactly
     ok &= 24 == h4.n - Fraction(4, 3) * (-3 + 21)
     ok &= elapsed < 60
     report(4, "layered multipartite graphs attain the clique-constrained bound",
-           ok, f"n=18 solve {elapsed:.2f}s, n=48 closed at the root")
+           ok, f"n=18 solve {elapsed:.2f}s, n=48 after one dive")
 
 
 def test_criterion_05_regular_identities(cubic_upto10, quartic_5to9):

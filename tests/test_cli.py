@@ -19,6 +19,7 @@ from sigdom.graphs import (
     is_connected,
     is_regular,
     parse_graph6,
+    path_graph,
     write_graph6,
 )
 from sigdom.solvers import ParameterResult, SignedFunction, istdn
@@ -527,6 +528,27 @@ def test_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, command, pa
         code, out, err = run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], f"C~\n{C4}\n")
         assert code == 1
         assert err == f"sigdom: error: <stdin>:2: {param} witness fails its re-check\n"
+        assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
+        runs.append((out, err))
+    assert runs[0] == runs[1]
+
+
+def test_lemma42_labelling_that_fails_its_recheck_exits_1(capsys, monkeypatch):
+    from sigdom import verification
+
+    p4 = write_graph6(path_graph(4))
+    # weight 0 = istdn(P4), but N(0) = {1} sums to 1 > 0
+    bad = SignedFunction((-1, 1, 1, -1))
+    real = verification.enumerate_maximum_istdfs
+    enumerate_optima = lambda g, optimum=None: (
+        [bad] if write_graph6(g) == p4 else real(g, optimum))
+    monkeypatch.setattr(verification, "enumerate_maximum_istdfs", enumerate_optima)
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["verify", "--suite", "lemma42", "--jobs", jobs], f"C~\n{p4}\n")
+        assert code == 1
+        assert err == "sigdom: error: <stdin>:2: istdn witness fails its re-check\n"
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
         runs.append((out, err))
     assert runs[0] == runs[1]

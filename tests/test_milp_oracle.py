@@ -1,14 +1,19 @@
 """The five parameters against an independent exact oracle: a 0/1 program
 solved by HiGHS through scipy, on graphs of the sizes where the cover search
-does real work (14 to 40 vertices).
+does real work: fixed graphs with 14 to 40 vertices, and seeded random
+cubic, quartic, G(n, 4/n) and tree inputs with 10 to 40.
 
 Each program is written from the parameter's definition, not from the
 solvers' cover demands, and the solution HiGHS returns is re-checked in
 integers before its value counts.
 """
 
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from sigdom.constructions import build_heawood, build_matched_multipartite
@@ -101,9 +106,7 @@ def milp_ktuple(g: Graph, k: int) -> int:
     return fun
 
 
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_five_parameters_match_the_milp_oracle(name):
-    g = GRAPHS[name]
+def _assert_five_parameters_match(g: Graph) -> None:
     for param, (solve, *definition) in SIGNED.items():
         res = recheck_witness(g, param, solve(g))
         assert res.value == milp_signed(g, *definition), param
@@ -112,3 +115,32 @@ def test_five_parameters_match_the_milp_oracle(name):
     if min_degree(g) >= 2:
         res = recheck_witness(g, "ktd", ktuple_total_domination(g, 2), 2)
         assert res.value == milp_ktuple(g, 2)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_five_parameters_match_the_milp_oracle(name):
+    _assert_five_parameters_match(GRAPHS[name])
+
+
+def _random_graph(kind: str, n: int, seed: int) -> Graph:
+    """A seeded networkx graph of the panel's classes; a cubic one has
+    n - n % 2 vertices."""
+    if kind == "cubic":
+        h = nx.random_regular_graph(3, n - n % 2, seed=seed)
+    elif kind == "quartic":
+        h = nx.random_regular_graph(4, n, seed=seed)
+    elif kind == "gnp":
+        h = nx.gnp_random_graph(n, 4 / n, seed=seed)
+    else:
+        rng = random.Random(seed)
+        h = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+    return Graph(h.number_of_nodes(), sorted(tuple(sorted(e)) for e in h.edges))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["cubic", "quartic", "gnp", "tree"]), st.integers(10, 40),
+       st.integers(0, 2**32 - 1))
+def test_five_parameters_match_the_milp_oracle_on_random_graphs(kind, n, seed):
+    g = _random_graph(kind, n, seed)
+    assume(min_degree(g) >= 1)
+    _assert_five_parameters_match(g)

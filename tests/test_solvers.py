@@ -153,7 +153,7 @@ def test_search_node_budget(monkeypatch):
     # node counts on Heawood: the cover search through stdn, and the
     # labelling search; each passes a budget one below its count
     g = build_heawood()
-    for solve, nodes in ((stdn, 132), (lambda h: optimize_signed(h, SIGNED_TOTAL), 532)):
+    for solve, nodes in ((stdn, 134), (lambda h: optimize_signed(h, SIGNED_TOTAL), 532)):
         monkeypatch.setattr(solvers, "SEARCH_NODE_BUDGET", nodes - 1)
         with pytest.raises(ValueError, match=f"passed the {nodes - 1}-node budget"):
             solve(g)
@@ -330,6 +330,17 @@ def test_st2in_with_zero_demand_everywhere():
     assert res.witness.values == (1,) * 6
 
 
+@pytest.mark.parametrize("r", range(2, 8))
+def test_hr_closes_after_one_dive(r):
+    # hr(r) attains the clique-constrained bound, istdn = r(r-1)^2 - r(r-1),
+    # and the first dive meets the lower bound: two nodes for each of the
+    # (n - istdn) / 2 minus vertices it picks, and no backtracking
+    g = build_matched_multipartite(r).graph
+    res = istdn(g)
+    assert res.value == r * (r - 1) ** 2 - r * (r - 1)
+    assert res.nodes_explored == g.n - res.value
+
+
 #: A connected cubic graph with n = 24 from the configuration model (seed 2024).
 CUBIC_24 = "WK????K?C?GOE?_o?`?oC?C@D??A?O?_S?c?GE?@C????CD"
 
@@ -338,11 +349,11 @@ CUBIC_30 = "]C??G??O_??GGH_A@????c?@@??_?P?I?C??@?K?SO??CC?O???GG??_@AC?A?@GAC@?
 
 #: Search nodes of (istdn, stdn, st2in) when these bounds were set.
 NODE_COUNTS = {
-    "C30": (cycle_graph(30), (156, 0, 156)),
-    "hr3": (build_matched_multipartite(3).graph, (0, 234, 0)),
-    "heawood": (build_heawood(), (132, 132, 58)),
-    "cubic24": (parse_graph6(CUBIC_24), (297, 297, 172)),
-    "cubic30": (parse_graph6(CUBIC_30), (1244, 1244, 352)),
+    "C30": (cycle_graph(30), (158, 28, 158)),
+    "hr3": (build_matched_multipartite(3).graph, (12, 236, 12)),
+    "heawood": (build_heawood(), (134, 134, 62)),
+    "cubic24": (parse_graph6(CUBIC_24), (301, 301, 174)),
+    "cubic30": (parse_graph6(CUBIC_30), (1244, 1244, 354)),
 }
 
 
