@@ -168,6 +168,10 @@ def _records(args) -> Iterator[tuple[str, Graph] | _UsageError]:
             for idx, t in enumerate(free_trees(n)):
                 yield f"tree n={n} #{idx}", t
         return
+    if args.input == "":
+        raise _UsageError("--input needs a file name, got ''")
+    if args.input is None and sys.stdin is None:  # started with stdin closed
+        raise _UsageError("<stdin>: standard input is closed")
     source = args.input or "<stdin>"
     # an undecodable byte becomes U+FFFD, which the parsers reject at its line
     if args.input is None and isinstance(sys.stdin, io.TextIOWrapper):

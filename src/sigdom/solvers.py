@@ -24,7 +24,7 @@ one step; otherwise the search takes or rules out that neighbour of it
 which meets the most outstanding demand.  A branch dies once its picks
 plus ceil(outstanding demand / largest undecided degree) reach the best
 cover known.  The search needs no seed: its first dive builds the first
-cover, and it stops once a cover meets a lower bound on the minimum.
+cover, and it stops once a cover meets its own lower bound on the minimum.
 
 ``optimize_signed`` is kept as an independent search over the labellings
 themselves.  On an r-regular graph the signed demands are constant, so the
@@ -221,18 +221,20 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
 
 
 def _cover_search(
-    g: Graph, demand: Sequence[int], best: int, lower: int | None
+    g: Graph, demand: Sequence[int], below: int | None = None
 ) -> tuple[list[frozenset[int]], int]:
-    """Depth-first branch and bound over covers of ``demand`` smaller than
-    ``best``; returns the covers it records and the nodes explored.
+    """Depth-first branch and bound over covers of ``demand``; returns the
+    covers it records and the nodes explored.
 
-    Given ``lower``, it minimises: each cover found replaces the previous
-    one and tightens ``best``, and the search stops once ``best == lower``.
-    Without ``lower`` the bound stays put and every cover is kept.  With
-    ``best`` one above the minimum those are exactly the minimum covers,
-    each recorded once: the two branches of a node disagree on a vertex, so
-    no two leaves hold the same set, and a branch stops as soon as its set
-    covers, which no proper subset of a minimum cover does.
+    Every cover has at least max(max demand, ceil(total demand / Delta))
+    vertices, so the search stops once the size it must beat meets that.
+    Without ``below`` it minimises from n + 1: each cover found replaces
+    the last and becomes the size to beat.  With ``below`` that size stays
+    put and every cover smaller than it is kept.  With ``below`` one above
+    the minimum those are exactly the minimum covers, each recorded once:
+    the two branches of a node disagree on a vertex, so no two leaves hold
+    the same set, and a branch stops as soon as its set covers, which no
+    proper subset of a minimum cover does.
 
     Branching takes the fewest remaining options first (Knuth, "Dancing
     links", arXiv cs/0011047).  A vertex with demand left is hungry; its
@@ -246,10 +248,10 @@ def _cover_search(
     least 1, so ruling out never leaves a vertex that cannot be covered.
 
     Pruning: a node dies when the picks it already holds plus the picks its
-    outstanding demand still needs reach ``best``.  One pick settles at
-    most the degree of an undecided vertex; the largest one comes from one
-    vertex mask per degree class.  A forced step also dies when its picks
-    alone would reach ``best``.
+    outstanding demand still needs reach the size to beat.  One pick settles
+    at most the degree of an undecided vertex; the largest one comes from
+    one vertex mask per degree class.  A forced step also dies when its
+    picks alone would reach the size to beat.
 
     The undecided, hungry and tight vertices are bitmasks passed down the
     recursion; the demand left and the slack of each vertex are integer
@@ -272,6 +274,8 @@ def _cover_search(
         bit <<= 1
     # (degree, vertices of that degree), largest degree first
     reach_classes = sorted(classes.items(), reverse=True)
+    best = len(adj) + 1 if below is None else below
+    lower = outstanding and max(max(need), -(-outstanding // reach_classes[0][0]))
     chosen: list[int] = []
     covers: list[frozenset[int]] = []
     nodes = 0
@@ -282,8 +286,8 @@ def _cover_search(
         if best == lower:
             return
         if not hungry:
-            # the bounds below keep every cover reached smaller than best
-            if lower is not None:
+            # the pruning keeps every cover reached smaller than best
+            if below is None:
                 best = len(chosen)
                 covers.clear()
             covers.append(frozenset(chosen))
@@ -367,11 +371,10 @@ def _cover_search(
     return covers, nodes
 
 
-def _solve_ktuple(g: Graph, demand: Sequence[int], lower: int) -> ParameterResult:
-    """Minimum cover of ``demand``; the search stops once a cover meets
-    ``lower``.  Its nodes include the first dive, which builds the first
-    cover: two per branching pick, one per forced step."""
-    covers, nodes = _cover_search(g, demand, g.n + 1, lower)
+def _solve_ktuple(g: Graph, demand: Sequence[int]) -> ParameterResult:
+    """Minimum cover of ``demand``.  Its nodes include the first dive, which
+    builds the first cover: two per branching pick, one per forced step."""
+    covers, nodes = _cover_search(g, demand)
     return ParameterResult(len(covers[-1]), covers[-1], nodes)
 
 
@@ -390,8 +393,7 @@ def _signed_demand(degrees: Sequence[int], problem: SignedProblem) -> tuple[int,
 def _signed_cover(g: Graph, problem: SignedProblem) -> ParameterResult:
     degrees = _require_positive_min_degree(g)
     label, demand = _signed_demand(degrees, problem)
-    lower = max(max(demand), -(-sum(demand) // max(degrees)))
-    res = _solve_ktuple(g, demand, lower)
+    res = _solve_ktuple(g, demand)
     witness = SignedFunction.from_values(
         g, [label if v in res.witness else -label for v in range(g.n)]
     )
@@ -427,7 +429,7 @@ def enumerate_maximum_istdfs(
         optimum = istdn(g).value
     size = (g.n - optimum) // 2
     _, demand = _signed_demand(degrees, INVERSE_SIGNED_TOTAL)
-    covers, _ = _cover_search(g, demand, size + 1, None)
+    covers, _ = _cover_search(g, demand, below=size + 1)
     found = sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)
     return [SignedFunction.from_values(g, vals) for vals in found]
 
@@ -438,31 +440,19 @@ def enumerate_maximum_istdfs(
 
 
 def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
-    """Exact minima for every tuple level 1..k.
-
-    Solved in ascending order so each optimum seeds the next level's lower
-    bound (removing one vertex from a level-j set leaves a level-(j-1) set,
-    hence the minima ascend by at least one per level).
-    """
-    degrees = _require_positive_min_degree(g)
-    delta, big_delta = min(degrees), max(degrees)
-    if not 1 <= k <= delta:
-        raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
-    results: list[ParameterResult] = []
-    prev = None
-    for level in range(1, k + 1):
-        lower = max(level + 1, -(-level * g.n // big_delta))
-        if prev is not None:
-            lower = max(lower, prev + 1)
-        res = _solve_ktuple(g, [level] * g.n, lower)
-        results.append(res)
-        prev = res.value
-    return results
+    """Exact minima for tuple levels 1..k, one solve each, for the regular
+    identities, whose notes print every level.  Level k comes first, from
+    ktuple_total_domination, so k is checked before any solve."""
+    top = ktuple_total_domination(g, k)
+    return [_solve_ktuple(g, [level] * g.n) for level in range(1, k)] + [top]
 
 
 def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
     """Minimum size of a set D with |N(v) & D| >= k for every vertex v."""
-    return ktuple_chain(g, k)[-1]
+    delta = min(_require_positive_min_degree(g))
+    if not 1 <= k <= delta:
+        raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
+    return _solve_ktuple(g, [k] * g.n)
 
 
 def total_domination(g: Graph) -> ParameterResult:

@@ -386,6 +386,23 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, case):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+@pytest.mark.parametrize("command", [["compute", "--param", "td"], ["verify", "--suite", "all"]])
+def test_closed_stdin_and_empty_input_name_exit_2(capsys, monkeypatch, command, fmt):
+    for jobs in ("1", "2"):
+        argv = [*command, "--format", fmt, "--jobs", jobs]
+        # a process started with its stdin closed sees sys.stdin as None
+        monkeypatch.setattr("sys.stdin", None)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "sigdom: error: <stdin>: standard input is closed\n")
+        # an empty file name must not fall back to stdin
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n" if fmt == "graph6" else "2\n0 1\n"))
+        assert cli.main([*argv, "--input", ""]) == 2
+        assert capsys.readouterr() == (
+            "", "sigdom: error: --input needs a file name, got ''\n")
+
+
 def test_error_after_good_records_keeps_their_output(capsys, monkeypatch):
     stdin = "A_\nC~\nA!\n"
     for jobs in ("1", "2"):
@@ -501,6 +518,31 @@ def test_no_pool_for_one_job_or_empty_input(jobs, stdin):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert ran.stdout.splitlines()[-1] == "False"
+
+
+def test_runtime_loads_only_the_standard_library():
+    # -S skips site, so no site-packages module, nor any .pth import, can load
+    script = (
+        "import json, sys, sysconfig\n"
+        "from sigdom.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "stdlib = {sysconfig.get_path('stdlib'), sysconfig.get_path('platstdlib')}\n"
+        "print(json.dumps([code, sorted(stdlib), sorted(\n"
+        "    getattr(m, '__file__', None) or '' for m in list(sys.modules.values()))]))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    ran = subprocess.run(
+        [sys.executable, "-S", "-c", script, "verify", "--suite", "all", "--input", CUBIC,
+         "--jobs", "2"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    code, stdlib, files = json.loads(ran.stdout.splitlines()[-1])
+    assert code == 0
+    roots = [Path(p).resolve() for p in stdlib] + [src / "sigdom"]
+    foreign = [f for f in files if f and not any(Path(f).resolve().is_relative_to(r)
+                                                   for r in roots)]
+    assert foreign == []
+    assert any(f.endswith("sigdom/solvers.py") for f in files)
 
 
 C4 = write_graph6(cycle_graph(4))

@@ -312,13 +312,20 @@ def test_cover_engine_on_arbitrary_demands(case):
     # and exactly the minimum covers, each once, from the enumerating mode
     g, demand = case
     size, minimum_covers = brute_cover(g, demand)
-    res = solvers._solve_ktuple(g, demand, max(demand))
+    res = solvers._solve_ktuple(g, demand)
     mask = sum(1 << v for v in res.witness)
     assert res.value == len(res.witness) == size
     assert all((a & mask).bit_count() >= d for a, d in zip(g.adj, demand))
-    covers, _ = solvers._cover_search(g, demand, size + 1, None)
+    covers, _ = solvers._cover_search(g, demand, below=size + 1)
     assert len(covers) == len(minimum_covers)
     assert set(covers) == minimum_covers
+
+
+def test_cover_engine_without_demand_or_edges():
+    # the lower bound divides by Delta only when some demand is outstanding
+    for g in (Graph(1, []), Graph(3, [])):
+        assert solvers._cover_search(g, [0] * g.n) == ([frozenset()], 0)
+        assert solvers._cover_search(g, [0] * g.n, below=1) == ([frozenset()], 0)
 
 
 def test_st2in_with_zero_demand_everywhere():

@@ -7,7 +7,7 @@ from sigdom.trees import free_trees
 # published census of free trees by order
 FREE_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
-    9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741,
+    9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
 
 
