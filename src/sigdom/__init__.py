@@ -24,12 +24,8 @@ from .graphs import (
 )
 from .trees import MAX_TREE_ORDER, free_trees
 from .solvers import (
-    INVERSE_SIGNED_TOTAL,
-    NEGATIVE_DECISION,
-    SIGNED_TOTAL,
+    SIGNED_PROBLEMS,
     ParameterResult,
-    SignedFunction,
-    SignedProblem,
     enumerate_maximum_istdfs,
     is_feasible,
     istdn,

@@ -8,8 +8,8 @@ streams the records to J worker processes, at most one per CPU, in batches
 sized by their measured cost, with output byte-identical to ``--jobs 1``.
 
 Exit codes: 0 all good, 1 a verified relation was violated or a witness
-failed its re-check, 2 usage, input or precondition error.  An error names
-its location.
+failed its re-check, 2 usage, input or precondition error, 3 any other
+fault.  An error names its location when it has one.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .graphs import (
     write_graph6,
 )
 from .solvers import (
-    SignedFunction,
     WitnessError,
     istdn,
     ktuple_total_domination,
@@ -79,6 +78,14 @@ _PARAM_SOLVERS = {
 
 class _UsageError(Exception):
     pass
+
+
+class _InternalError(Exception):
+    """Any other exception raised on one record, with its location."""
+
+
+def _internal(exc: Exception) -> str:
+    return f"internal error: {type(exc).__name__}: {exc}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,8 +197,8 @@ def _records(args) -> Iterator[tuple[str, Graph] | _UsageError]:
 
 
 def _located(fn: Callable, record: tuple[str, Graph] | _UsageError):
-    """fn(graph) for one record, or its located error, returned in place,
-    by this process for one job and by the pool workers otherwise."""
+    """fn(graph) for one record, or its located error as an exception
+    returned in place, by this process for one job and by the workers otherwise."""
     if isinstance(record, _UsageError):
         return record
     where, g = record
@@ -201,6 +208,8 @@ def _located(fn: Callable, record: tuple[str, Graph] | _UsageError):
         return WitnessError(f"{where}: {exc}")
     except ValueError as exc:
         return _UsageError(f"{where}: {exc}")
+    except Exception as exc:
+        return _InternalError(f"{where}: {_internal(exc)}")
 
 
 #: Worker seconds a pool batch aims at, and the most records it holds.
@@ -214,7 +223,7 @@ def _batch(fn: Callable, records: list) -> tuple[list, float]:
     start, results = time.perf_counter(), []
     for record in records:
         results.append(_located(fn, record))
-        if isinstance(results[-1], (_UsageError, WitnessError)):
+        if isinstance(results[-1], Exception):
             break
     return results, time.perf_counter() - start
 
@@ -258,16 +267,10 @@ def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
     results = ((_located(fn, r) for r in records) if jobs == 1
                else _pooled(jobs, fn, records))
     for result in results:
-        if isinstance(result, (_UsageError, WitnessError)):
+        if isinstance(result, Exception):
             results.close()
             raise result
         yield result
-
-
-def _witness_payload(witness) -> list[int]:
-    if isinstance(witness, SignedFunction):
-        return list(witness.values)
-    return sorted(witness)
 
 
 def _compute_record(g: Graph, param: str, k: int | None) -> str:
@@ -279,7 +282,8 @@ def _compute_record(g: Graph, param: str, k: int | None) -> str:
     if param == "ktd":
         payload["k"] = k
     payload["value"] = result.value
-    payload["witness"] = _witness_payload(result.witness)
+    w = result.witness
+    payload["witness"] = sorted(w) if isinstance(w, frozenset) else list(w)
     return json.dumps(payload)
 
 
@@ -381,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except BrokenPipeError:
         return 0
+    except Exception as exc:  # never 1, which means a violated relation
+        message = exc if isinstance(exc, _InternalError) else _internal(exc)
+        print(f"sigdom: error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

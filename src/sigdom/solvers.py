@@ -1,8 +1,9 @@
 """Exact computation of signed and k-tuple total domination parameters.
 
-The three signed problems are one problem up to f -> -f.  Given a sign s
-and a bound b, maximise s*f(V) over labellings f: V -> {-1,+1} subject to
-s*f(N(v)) <= s*b at every vertex v:
+The three signed problems are one problem up to f -> -f.  SIGNED_PROBLEMS
+gives each, by parameter name, a sign s and a bound b: maximise s*f(V) over
+labellings f: V -> {-1,+1} subject to s*f(N(v)) <= s*b at every vertex v.
+The functions that take such a name raise ValueError on any other:
 
     parameter  s   b   the problem in f
     istdn      +1  0   maximise f(V) with f(N(v)) <= 0
@@ -15,7 +16,7 @@ search over bitset adjacency (``_solve_ktuple``).  With h = s*f and M the
 set where h = -1, h(N(v)) = deg v - 2|N(v) & M|, so a signed problem covers
 with M, demanding ceil((deg v - s*b) / 2), and its value is
 s*(n - 2 min|M|).  ktd and td cover with D, demanding k or 1; their value
-is min|D|.
+is min|D|.  A signed witness is the labelling, a tuple of n values +-1.
 
 The cover search branches on the most constrained vertex, after Knuth's
 Algorithm X: a vertex with demand left whose undecided neighbours exceed
@@ -57,43 +58,16 @@ def _require_positive_min_degree(g: Graph) -> tuple[int, ...]:
     return degrees
 
 
-@dataclass(frozen=True)
-class SignedProblem:
-    """One of the three +-1 labelling problems, in the sign/bound form
-    above; only the three studied instantiations are constructible."""
-
-    sign: int
-    bound: int
-
-    _ALLOWED = {(1, 0), (1, 1), (-1, 1)}
-
-    def __post_init__(self) -> None:
-        if (self.sign, self.bound) not in self._ALLOWED:
-            raise ValueError("supported (sign, bound): (1, 0), (1, 1), (-1, 1)")
+#: The three signed problems by parameter name, as (sign, bound).
+SIGNED_PROBLEMS = {"istdn": (1, 0), "stdn": (-1, 1), "st2in": (1, 1)}
 
 
-#: maximise f(V) subject to f(N(v)) <= 0 everywhere (ISTDF / istdn).
-INVERSE_SIGNED_TOTAL = SignedProblem(1, 0)
-#: minimise f(V) subject to f(N(v)) >= 1 everywhere (STDF / stdn).
-SIGNED_TOTAL = SignedProblem(-1, 1)
-#: maximise f(V) subject to f(N(v)) <= 1 everywhere (negative decision / st2in).
-NEGATIVE_DECISION = SignedProblem(1, 1)
-
-
-@dataclass(frozen=True)
-class SignedFunction:
-    """A total labelling V -> {-1,+1}."""
-
-    values: tuple[int, ...]
-
-    @classmethod
-    def from_values(cls, g: Graph, values: Sequence[int]) -> "SignedFunction":
-        vals = tuple(values)
-        if len(vals) != g.n:
-            raise ValueError(f"labelling has {len(vals)} entries for n={g.n}")
-        if any(v not in (-1, 1) for v in vals):
-            raise ValueError("labels must be -1 or +1")
-        return cls(vals)
+def _sign_and_cap(param: str) -> tuple[int, int]:
+    """(sign, sign*bound) of a signed parameter; ValueError for any other name."""
+    if param not in SIGNED_PROBLEMS:
+        raise ValueError(f"not a signed parameter: {param!r}")
+    sign, bound = SIGNED_PROBLEMS[param]
+    return sign, sign * bound
 
 
 @dataclass(frozen=True)
@@ -102,16 +76,16 @@ class ParameterResult:
     explored, the dive that found the first witness included."""
 
     value: int
-    witness: "SignedFunction | frozenset[int]"
+    witness: "tuple[int, ...] | frozenset[int]"  # a +-1 labelling or a cover
     nodes_explored: int
 
 
-def is_feasible(g: Graph, f: SignedFunction, problem: SignedProblem) -> bool:
-    """True iff every vertex meets the problem's neighbourhood constraint."""
-    if len(f.values) != g.n:
-        raise ValueError(f"labelling has {len(f.values)} entries for n={g.n}")
-    plus = sum(1 << v for v, s in enumerate(f.values) if s == 1)
-    sign, cap = problem.sign, problem.sign * problem.bound
+def is_feasible(g: Graph, values: Sequence[int], param: str) -> bool:
+    """True iff the labelling meets ``param``'s constraint at every vertex."""
+    sign, cap = _sign_and_cap(param)
+    if len(values) != g.n:
+        raise ValueError(f"labelling has {len(values)} entries for n={g.n}")
+    plus = sum(1 << v for v, s in enumerate(values) if s == 1)
     return all(
         sign * (2 * (g.adj[v] & plus).bit_count() - g.degree(v)) <= cap
         for v in range(g.n)
@@ -123,10 +97,6 @@ class WitnessError(Exception):
     of its input."""
 
 
-_SIGNED_PROBLEMS = {"istdn": INVERSE_SIGNED_TOTAL, "stdn": SIGNED_TOTAL,
-                    "st2in": NEGATIVE_DECISION}
-
-
 def recheck_witness(
     g: Graph, param: str, result: ParameterResult, k: int = 1
 ) -> ParameterResult:
@@ -136,10 +106,9 @@ def recheck_witness(
     has at least k neighbours in.  Raises WitnessError otherwise; its
     message names ktd's level, e.g. ``ktd (k=2)``."""
     w = result.witness
-    if param in _SIGNED_PROBLEMS:
-        ok = (len(w.values) == g.n and set(w.values) <= {-1, 1}
-              and sum(w.values) == result.value
-              and is_feasible(g, w, _SIGNED_PROBLEMS[param]))
+    if param in SIGNED_PROBLEMS:
+        ok = (len(w) == g.n and set(w) <= {-1, 1} and sum(w) == result.value
+              and is_feasible(g, w, param))
     else:
         mask = sum(1 << v for v in w if 0 <= v < g.n)
         ok = (len(w) == result.value == mask.bit_count()
@@ -150,8 +119,8 @@ def recheck_witness(
     return result
 
 
-def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
-    """Exact optimum of a SignedProblem by depth-first branch and bound.
+def optimize_signed(g: Graph, param: str) -> ParameterResult:
+    """Exact optimum of a signed parameter by depth-first branch and bound.
 
     Searches h = sign*f: maximise h(V) subject to h(N(v)) <= cap =
     sign*bound, trying +1 first at each vertex.  Pruning: (i)+(ii) a
@@ -162,12 +131,12 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
     all -1 labelling, which is always feasible, so the search is never
     unseeded.
     """
+    sign, cap = _sign_and_cap(param)
     degrees = _require_positive_min_degree(g)
     n = g.n
     # Descending degree, ties by index: high-degree vertices constrain the
     # most neighbourhoods early, and the total order makes runs reproducible.
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    cap = problem.sign * problem.bound
 
     best_vals = [-1] * n
     best = -n
@@ -210,9 +179,7 @@ def optimize_signed(g: Graph, problem: SignedProblem) -> ParameterResult:
             vals[u] = 0
 
     dfs(0, 0)
-    sign = problem.sign
-    witness = SignedFunction.from_values(g, [sign * x for x in best_vals])
-    return ParameterResult(sign * best, witness, nodes)
+    return ParameterResult(sign * best, tuple(sign * x for x in best_vals), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -383,42 +350,39 @@ def _solve_ktuple(g: Graph, demand: Sequence[int]) -> ParameterResult:
 # ---------------------------------------------------------------------------
 
 
-def _signed_demand(degrees: Sequence[int], problem: SignedProblem) -> tuple[int, list[int]]:
+def _signed_demand(degrees: Sequence[int], param: str) -> tuple[int, list[int]]:
     """The label of the cover set M, -sign, and each vertex's demand on it,
     ceil((deg v - sign*bound) / 2)."""
-    cap = problem.sign * problem.bound
-    return -problem.sign, [(d - cap + 1) // 2 for d in degrees]
+    sign, cap = _sign_and_cap(param)
+    return -sign, [(d - cap + 1) // 2 for d in degrees]
 
 
-def _signed_cover(g: Graph, problem: SignedProblem) -> ParameterResult:
-    degrees = _require_positive_min_degree(g)
-    label, demand = _signed_demand(degrees, problem)
+def _signed_cover(g: Graph, param: str) -> ParameterResult:
+    label, demand = _signed_demand(_require_positive_min_degree(g), param)
     res = _solve_ktuple(g, demand)
-    witness = SignedFunction.from_values(
-        g, [label if v in res.witness else -label for v in range(g.n)]
-    )
+    witness = tuple(label if v in res.witness else -label for v in range(g.n))
     return ParameterResult(label * (2 * res.value - g.n), witness, res.nodes_explored)
 
 
 def istdn(g: Graph) -> ParameterResult:
     """Maximum weight over labellings with f(N(v)) <= 0 everywhere."""
-    return _signed_cover(g, INVERSE_SIGNED_TOTAL)
+    return _signed_cover(g, "istdn")
 
 
 def stdn(g: Graph) -> ParameterResult:
     """Minimum weight over labellings with f(N(v)) >= 1 everywhere."""
-    return _signed_cover(g, SIGNED_TOTAL)
+    return _signed_cover(g, "stdn")
 
 
 def st2in(g: Graph) -> ParameterResult:
     """Maximum weight over labellings with f(N(v)) <= 1 everywhere."""
-    return _signed_cover(g, NEGATIVE_DECISION)
+    return _signed_cover(g, "st2in")
 
 
 def enumerate_maximum_istdfs(
     g: Graph, optimum: int | None = None
-) -> list[SignedFunction]:
-    """All labellings achieving istdn(g), sorted by value vector.
+) -> list[tuple[int, ...]]:
+    """All labellings achieving istdn(g), sorted.
 
     These are the minimum covers of the istdn demand, found by the cover
     search with its bound pinned one above the minimum minus-set size.
@@ -428,10 +392,9 @@ def enumerate_maximum_istdfs(
     if optimum is None:
         optimum = istdn(g).value
     size = (g.n - optimum) // 2
-    _, demand = _signed_demand(degrees, INVERSE_SIGNED_TOTAL)
+    _, demand = _signed_demand(degrees, "istdn")
     covers, _ = _cover_search(g, demand, below=size + 1)
-    found = sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)
-    return [SignedFunction.from_values(g, vals) for vals in found]
+    return sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ from .graphs import (
     write_graph6,
 )
 from .solvers import (
-    INVERSE_SIGNED_TOTAL,
-    NEGATIVE_DECISION,
-    SIGNED_TOTAL,
     ParameterResult,
     enumerate_maximum_istdfs,
     istdn,
@@ -290,10 +287,8 @@ def _regular_identities(facts: GraphFacts) -> Outcome:
     gamma_up1 = chain[up1 - 1]
     gamma_down = chain[down - 1] if down >= 1 else 0
     ist, std, s2 = (
-        recheck_witness(graph, param, optimize_signed(graph, problem)).value
-        for param, problem in (("istdn", INVERSE_SIGNED_TOTAL),
-                               ("stdn", SIGNED_TOTAL),
-                               ("st2in", NEGATIVE_DECISION))
+        recheck_witness(graph, param, optimize_signed(graph, param)).value
+        for param in ("istdn", "stdn", "st2in")
     )
     eqs = {
         "istdn": ist == n - 2 * gamma_up,
@@ -361,7 +356,7 @@ def _lemma42(facts: GraphFacts) -> Outcome:
     best = None  # (shortfall, the optimum that has it)
     for f in enumerate_maximum_istdfs(facts.graph, optimum=facts.istdn.value):
         shortfall = min(
-            sum(1 for u in ts.leaf_groups[v] if f.values[u] == 1) - c // 2
+            sum(1 for u in ts.leaf_groups[v] if f[u] == 1) - c // 2
             for v, c in zip(ts.supports, ts.leaf_counts)
         )
         if best is None or shortfall > best[0]:

@@ -22,7 +22,7 @@ from sigdom.graphs import (
     path_graph,
     write_graph6,
 )
-from sigdom.solvers import ParameterResult, SignedFunction, istdn
+from sigdom.solvers import ParameterResult, istdn
 from sigdom.verification import CHECK_IDS
 
 CUBIC = str(Path(__file__).resolve().parent.parent / "data" / "cubic_upto10.g6")
@@ -549,7 +549,7 @@ C4 = write_graph6(cycle_graph(4))
 #: A witness of C4's optimum value that fails at a vertex: under (1, -1, 1, -1)
 #: N(1) sums to 2 > 0, and no neighbour of 0 lies in {0, 2}.
 BAD_C4_WITNESS = {
-    "istdn": ParameterResult(0, SignedFunction((1, -1, 1, -1)), 0),
+    "istdn": ParameterResult(0, (1, -1, 1, -1), 0),
     "td": ParameterResult(2, frozenset({0, 2}), 0),
 }
 
@@ -580,7 +580,7 @@ def test_lemma42_labelling_that_fails_its_recheck_exits_1(capsys, monkeypatch):
 
     p4 = write_graph6(path_graph(4))
     # weight 0 = istdn(P4), but N(0) = {1} sums to 1 > 0
-    bad = SignedFunction((-1, 1, 1, -1))
+    bad = (-1, 1, 1, -1)
     real = verification.enumerate_maximum_istdfs
     enumerate_optima = lambda g, optimum=None: (
         [bad] if write_graph6(g) == p4 else real(g, optimum))
@@ -602,10 +602,9 @@ def test_regular_identity_witness_that_fails_its_recheck_exits_1(capsys, monkeyp
 
     if param == "istdn":
         real = verification.optimize_signed
-        solve = lambda g, problem: (
-            BAD_C4_WITNESS["istdn"]
-            if write_graph6(g) == C4 and problem == solvers.INVERSE_SIGNED_TOTAL
-            else real(g, problem))
+        solve = lambda g, name: (
+            BAD_C4_WITNESS["istdn"] if write_graph6(g) == C4 and name == "istdn"
+            else real(g, name))
         monkeypatch.setattr(verification, "optimize_signed", solve)
     else:
         real = verification.ktuple_chain
@@ -623,6 +622,52 @@ def test_regular_identity_witness_that_fails_its_recheck_exits_1(capsys, monkeyp
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~", "C~"]
         runs.append((out, err))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_an_unexpected_exception_exits_3_at_its_record(capsys, monkeypatch, command):
+    # neither a ValueError nor a WitnessError: a fault of the program, which
+    # must not read as exit 1, a violated relation
+    from sigdom import verification
+
+    real = cli._PARAM_SOLVERS["td"]
+
+    def solve(g):
+        if write_graph6(g) == C4:
+            raise RuntimeError("stubbed fault")
+        return real(g)
+
+    monkeypatch.setitem(cli._PARAM_SOLVERS, "td", solve)
+    monkeypatch.setattr(verification, "total_domination", solve)
+    argv = (["compute", "--param", "td"] if command == "compute"
+            else ["verify", "--suite", "t22"])
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], f"C~\n{C4}\nC~\n")
+        assert code == 3
+        assert err == "sigdom: error: <stdin>:2: internal error: RuntimeError: stubbed fault\n"
+        assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
+        runs.append((out, err))
+    assert runs[0] == runs[1]
+
+
+def test_a_worker_that_dies_exits_3(capsys, monkeypatch):
+    # as the out-of-memory killer would end it: the pool breaks, and no
+    # record is to blame, so the error has no location
+    parent, real = os.getpid(), cli._PARAM_SOLVERS["td"]
+
+    def solve(g):
+        if os.getpid() != parent and write_graph6(g) == C4:
+            os._exit(9)
+        return real(g)
+
+    monkeypatch.setitem(cli._PARAM_SOLVERS, "td", solve)
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["compute", "--param", "td", "--jobs", "2"], f"C~\n{C4}\n")
+    assert code == 3
+    assert err.startswith("sigdom: error: internal error: BrokenProcessPool: ")
+    assert err.count("\n") == 1
+    assert all(json.loads(line)["graph_id"] == "C~" for line in out.splitlines())
 
 
 _G6_CHARS = "".join(chr(c) for c in range(63, 127)) + " \n"

@@ -21,7 +21,7 @@ from sigdom.graphs import (
     path_graph,
     star_graph,
 )
-from sigdom.solvers import INVERSE_SIGNED_TOTAL, SignedFunction, is_feasible, istdn
+from sigdom.solvers import is_feasible, istdn
 from sigdom.trees import free_trees
 
 
@@ -127,9 +127,10 @@ def test_matched_multipartite_invariants(r):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_matched_multipartite_canonical_labelling(r):
     built = build_matched_multipartite(r)
-    f = SignedFunction.from_values(built.graph, built.canonical_labelling())
-    assert is_feasible(built.graph, f, INVERSE_SIGNED_TOTAL)
-    assert sum(f.values) == r * (r - 1) ** 2 - r * (r - 1)
+    f = built.canonical_labelling()
+    assert len(f) == built.graph.n and set(f) <= {-1, 1}
+    assert is_feasible(built.graph, f, "istdn")
+    assert sum(f) == r * (r - 1) ** 2 - r * (r - 1)
 
 
 def test_matched_multipartite_r2_is_four_cycle():

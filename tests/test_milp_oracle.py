@@ -1,7 +1,7 @@
 """The five parameters against an independent exact oracle: a 0/1 program
 solved by HiGHS through scipy, on graphs of the sizes where the cover search
-does real work: fixed graphs with 14 to 40 vertices, and seeded random
-cubic, quartic, G(n, 4/n) and tree inputs with 10 to 40.
+does real work: fixed graphs with 14 to 40 vertices, hr(2) and hr(4), and
+seeded random cubic, quartic, G(n, 4/n) and tree inputs with 10 to 40.
 
 Each program is written from the parameter's definition, not from the
 solvers' cover demands, and the solution HiGHS returns is re-checked in
@@ -41,6 +41,7 @@ GRAPHS = {
     "gnp26": parse_graph6(
         "Yi??G?Yc?G_KB@?_?eG?@_?G_@_H???wJGOAO@?CQ?@PB_oPQCC?OA??"),
     "C30": cycle_graph(30),
+    "hr2": build_matched_multipartite(2).graph,
     "hr3": build_matched_multipartite(3).graph,
     "heawood": build_heawood(),
     "tree40a": parse_graph6(
@@ -120,6 +121,22 @@ def _assert_five_parameters_match(g: Graph) -> None:
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_five_parameters_match_the_milp_oracle(name):
     _assert_five_parameters_match(GRAPHS[name])
+
+
+def test_hr4_matches_the_milp_oracle():
+    # hr(4), n = 48, minimum degree 6: each of these closes within 1,633
+    # nodes.  stdn passes the node budget and ktd at k = 4 takes millions of
+    # nodes, so both wait for the twin rule and the gain bound.
+    g = build_matched_multipartite(4).graph
+    for param in ("istdn", "st2in"):
+        solve, *definition = SIGNED[param]
+        res = recheck_witness(g, param, solve(g))
+        assert res.value == milp_signed(g, *definition) == 24, param
+    res = recheck_witness(g, "td", total_domination(g))
+    assert res.value == milp_ktuple(g, 1) == 4
+    for k in (2, 3):
+        res = recheck_witness(g, "ktd", ktuple_total_domination(g, k), k)
+        assert res.value == milp_ktuple(g, k) == 4 * k, k
 
 
 def _random_graph(kind: str, n: int, seed: int) -> Graph:

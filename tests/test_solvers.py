@@ -16,31 +16,26 @@ from sigdom.graphs import (
     star_graph,
 )
 from sigdom.solvers import (
-    INVERSE_SIGNED_TOTAL,
-    NEGATIVE_DECISION,
-    SIGNED_TOTAL,
-    SignedFunction,
-    SignedProblem,
+    SIGNED_PROBLEMS,
+    ParameterResult,
+    WitnessError,
     enumerate_maximum_istdfs,
     is_feasible,
     istdn,
     ktuple_chain,
     ktuple_total_domination,
     optimize_signed,
+    recheck_witness,
     st2in,
     stdn,
     total_domination,
 )
 from oracles import brute_cover, brute_ktuple, brute_signed, random_connected_graph
 
-PROBLEMS = {
-    "istdn": (INVERSE_SIGNED_TOTAL, istdn),
-    "stdn": (SIGNED_TOTAL, stdn),
-    "st2in": (NEGATIVE_DECISION, st2in),
-}
+PROBLEMS = {"istdn": istdn, "stdn": stdn, "st2in": st2in}
 
 #: brute_signed's (sense, bound, maximize) for each parameter, written out
-#: from the definitions rather than read from the SignedProblem constants.
+#: from the definitions rather than read from SIGNED_PROBLEMS.
 BRUTE_ARGS = {
     "istdn": ("le", 0, True),
     "stdn": ("ge", 1, False),
@@ -48,28 +43,37 @@ BRUTE_ARGS = {
 }
 
 
-def _minus_set(f: SignedFunction) -> set[int]:
-    return {v for v, s in enumerate(f.values) if s == -1}
+def _minus_set(f: tuple[int, ...]) -> set[int]:
+    return {v for v, s in enumerate(f) if s == -1}
 
 
 def test_signed_problem_is_restricted():
-    assert (INVERSE_SIGNED_TOTAL.sign, INVERSE_SIGNED_TOTAL.bound) == (1, 0)
-    assert (NEGATIVE_DECISION.sign, NEGATIVE_DECISION.bound) == (1, 1)
-    assert (SIGNED_TOTAL.sign, SIGNED_TOTAL.bound) == (-1, 1)
-    for sign, bound in ((-1, 0), (1, 2), (-1, -1), (0, 0), (2, 0)):
-        with pytest.raises(ValueError):
-            SignedProblem(sign, bound)
+    # (sign, bound): maximise sign*f(V) with sign*f(N(v)) <= sign*bound, so
+    # each row must read back as its parameter's definition in BRUTE_ARGS
+    assert set(SIGNED_PROBLEMS) == set(BRUTE_ARGS)
+    for name, (sign, bound) in SIGNED_PROBLEMS.items():
+        sense, brute_bound, maximize = BRUTE_ARGS[name]
+        assert (sign, bound) == ((1 if maximize else -1), brute_bound), name
+        assert sense == ("le" if sign == 1 else "ge"), name
+    c4 = cycle_graph(4)
+    for name in ("td", "ktd", "ISTDN", "", "signed"):
+        with pytest.raises(ValueError, match="not a signed parameter"):
+            optimize_signed(c4, name)
+        with pytest.raises(ValueError, match="not a signed parameter"):
+            is_feasible(c4, (1, -1, 1, -1), name)
 
 
-def test_signed_function_bookkeeping():
+def test_recheck_rejects_a_malformed_labelling():
+    # labellings of the wrong length, and labellings with a label of 0 that
+    # is_feasible would pass, each of the optimum weight 0 on P4, fail the
+    # re-check; the optimum itself passes
     p4 = path_graph(4)
-    f = SignedFunction.from_values(p4, [1, -1, -1, 1])
-    assert f.values == (1, -1, -1, 1)
-    assert sum(f.values) == 0
-    with pytest.raises(ValueError, match="entries"):
-        SignedFunction.from_values(p4, (1, -1, 1))
-    with pytest.raises(ValueError, match="labels"):
-        SignedFunction.from_values(p4, (1, 0, -1, 1))
+    good = ParameterResult(0, (1, -1, -1, 1), 0)
+    assert recheck_witness(p4, "istdn", good) is good
+    for values in ((1, -1), (1, -1, -1, 1, -1, 1), (1, 0, -1, 0), (0, 0, 0, 0)):
+        assert len(values) != 4 or is_feasible(p4, values, "istdn")
+        with pytest.raises(WitnessError, match="istdn witness fails its re-check"):
+            recheck_witness(p4, "istdn", ParameterResult(sum(values), values, 0))
 
 
 #: (graph, labelling, feasible for istdn, stdn, st2in): labellings that
@@ -85,11 +89,10 @@ FEASIBILITY_EXAMPLES = [
 
 def test_is_feasible_examples():
     for g, values, expected in FEASIBILITY_EXAMPLES:
-        f = SignedFunction.from_values(g, values)
-        for (name, (problem, _)), want in zip(PROBLEMS.items(), expected):
-            assert is_feasible(g, f, problem) == want, (values, name)
+        for name, want in zip(PROBLEMS, expected):
+            assert is_feasible(g, values, name) == want, (values, name)
         with pytest.raises(ValueError):
-            is_feasible(complete_graph(g.n + 1), f, INVERSE_SIGNED_TOTAL)
+            is_feasible(complete_graph(g.n + 1), values, "istdn")
 
 
 #: optimize_signed's (value, nodes) for (istdn, stdn, st2in).
@@ -106,11 +109,11 @@ LABELLING_SEARCH_COUNTS = {
 @pytest.mark.parametrize("name", sorted(LABELLING_SEARCH_COUNTS))
 def test_labelling_search_pinned(name):
     g, pinned = LABELLING_SEARCH_COUNTS[name]
-    for (param, (problem, _)), want in zip(PROBLEMS.items(), pinned):
-        res = optimize_signed(g, problem)
+    for param, want in zip(PROBLEMS, pinned):
+        res = optimize_signed(g, param)
         assert (res.value, res.nodes_explored) == want, param
-        assert sum(res.witness.values) == res.value, param
-        assert is_feasible(g, res.witness, problem), param
+        assert sum(res.witness) == res.value, param
+        assert is_feasible(g, res.witness, param), param
 
 
 def test_istdn_closed_form_examples():
@@ -153,7 +156,7 @@ def test_search_node_budget(monkeypatch):
     # node counts on Heawood: the cover search through stdn, and the
     # labelling search; each passes a budget one below its count
     g = build_heawood()
-    for solve, nodes in ((stdn, 134), (lambda h: optimize_signed(h, SIGNED_TOTAL), 532)):
+    for solve, nodes in ((stdn, 134), (lambda h: optimize_signed(h, "stdn"), 532)):
         monkeypatch.setattr(solvers, "SEARCH_NODE_BUDGET", nodes - 1)
         with pytest.raises(ValueError, match=f"passed the {nodes - 1}-node budget"):
             solve(g)
@@ -165,12 +168,12 @@ def test_search_node_budget(monkeypatch):
 
 def test_witnesses_are_feasible_and_optimal():
     for g in (complete_graph(6), cycle_graph(7), complete_bipartite_graph(2, 4)):
-        for problem, solver in PROBLEMS.values():
+        for param, solver in PROBLEMS.items():
             res = solver(g)
-            assert is_feasible(g, res.witness, problem)
-            assert sum(res.witness.values) == res.value
+            assert is_feasible(g, res.witness, param)
+            assert sum(res.witness) == res.value
             assert res.nodes_explored >= 0
-            assert optimize_signed(g, problem).value == res.value
+            assert optimize_signed(g, param).value == res.value
 
 
 def test_weight_is_order_minus_twice_minus_set():
@@ -232,7 +235,7 @@ def test_oracle_equivalence_small():
     rng = random.Random(23)
     for _ in range(25):
         g = random_connected_graph(rng, 2, 8)
-        for name, (problem, solver) in PROBLEMS.items():
+        for name, solver in PROBLEMS.items():
             expected, _ = brute_signed(g, *BRUTE_ARGS[name])
             assert solver(g).value == expected, f"{name} mismatch"
         delta = min_degree(g)
@@ -242,12 +245,12 @@ def test_oracle_equivalence_small():
 
 def test_enumerate_maximum_istdfs_examples():
     only = enumerate_maximum_istdfs(path_graph(2))
-    assert [f.values for f in only] == [(-1, -1)]
+    assert only == [(-1, -1)]
     p4 = enumerate_maximum_istdfs(path_graph(4))
-    assert [f.values for f in p4] == [(1, -1, -1, 1)]
+    assert p4 == [(1, -1, -1, 1)]
     c4 = enumerate_maximum_istdfs(cycle_graph(4))
     assert len(c4) == 4
-    assert all(sum(f.values) == 0 and len(_minus_set(f)) == 2 for f in c4)
+    assert all(sum(f) == 0 and len(_minus_set(f)) == 2 for f in c4)
 
 
 def test_enumerate_matches_brute_count():
@@ -257,9 +260,9 @@ def test_enumerate_matches_brute_count():
         value, count = brute_signed(g, "le", 0, True)
         fs = enumerate_maximum_istdfs(g)
         assert len(fs) == count
-        assert all(sum(f.values) == value for f in fs)
-        assert all(is_feasible(g, f, INVERSE_SIGNED_TOTAL) for f in fs)
-        assert [f.values for f in fs] == sorted(f.values for f in fs)
+        assert all(sum(f) == value for f in fs)
+        assert all(is_feasible(g, f, "istdn") for f in fs)
+        assert fs == sorted(fs)
 
 
 def test_deterministic_results():
@@ -267,7 +270,7 @@ def test_deterministic_results():
     first = istdn(g)
     second = istdn(g)
     assert first.value == second.value
-    assert first.witness.values == second.witness.values
+    assert first.witness == second.witness
     assert first.nodes_explored == second.nodes_explored
 
 
@@ -285,17 +288,21 @@ def connected_graphs(draw, max_n: int = 9) -> Graph:
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs())
 def test_cover_engine_matches_labelling_search_and_brute_force(g):
-    for name, (problem, solver) in PROBLEMS.items():
-        res = solver(g)
+    for name, solver in PROBLEMS.items():
+        res, labelled = solver(g), optimize_signed(g, name)
         expected, _ = brute_signed(g, *BRUTE_ARGS[name])
-        assert res.value == expected == optimize_signed(g, problem).value, name
-        assert is_feasible(g, res.witness, problem), name
-        assert sum(res.witness.values) == res.value, name
+        assert res.value == expected == labelled.value, name
+        # every witness is a labelling: n values, each +-1
+        for f in (res.witness, labelled.witness):
+            assert type(f) is tuple and len(f) == g.n and set(f) <= {-1, 1}, name
+        assert is_feasible(g, res.witness, name), name
+        assert sum(res.witness) == res.value, name
     value, count = brute_signed(g, "le", 0, True)
     fs = enumerate_maximum_istdfs(g)
+    assert all(type(f) is tuple and len(f) == g.n and set(f) <= {-1, 1} for f in fs)
     assert len(fs) == count
-    assert all(sum(f.values) == value for f in fs)
-    assert [f.values for f in fs] == sorted(f.values for f in fs)
+    assert all(sum(f) == value for f in fs)
+    assert fs == sorted(fs)
 
 
 @st.composite
@@ -334,7 +341,7 @@ def test_st2in_with_zero_demand_everywhere():
     matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
     res = st2in(matching)
     assert res.value == 6 and res.nodes_explored == 0
-    assert res.witness.values == (1,) * 6
+    assert res.witness == (1,) * 6
 
 
 @pytest.mark.parametrize("r", range(2, 8))
