@@ -301,10 +301,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    write = sys.stdout.write  # one call per report line, not print's two
     summary = run_suite(
         _records(args),
         SUITES[args.suite],
-        on_report=lambda rep: print(rep.json_line()),
+        on_report=lambda rep: write(rep.json_line() + "\n"),
         mapper=partial(_run, args.jobs),
     )
     print(summary.json_line())

@@ -56,7 +56,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(a.bit_count() for a in self.adj)
+        return tuple(map(int.bit_count, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -130,35 +130,36 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(_G6_HEADER_PREFIX):]
     if not s:
         raise GraphFormatError("empty graph6 record")
-    codes = []
-    for ch in s:
-        c = ord(ch) - 63
-        if not 0 <= c <= 63:
-            raise GraphFormatError(f"character {ch!r} outside graph6 alphabet")
-        codes.append(c)
-    n = codes[0]
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise GraphFormatError(f"character {ch!r} outside graph6 alphabet")
+    n = ord(s[0]) - 63
     if n == 63:
         raise GraphFormatError("long-form graph6 (n > 62) is not supported")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(codes) - 1 != need:
+    if len(s) - 1 != need:
         raise GraphFormatError(
-            f"graph6 payload for n={n} needs {need} bytes, got {len(codes) - 1}"
+            f"graph6 payload for n={n} needs {need} bytes, got {len(s) - 1}"
         )
-    # column order (0,1),(0,2),(1,2),(0,3),... matches write_graph6
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    # the payload as one integer, six bits per character, first bit highest
+    bits = 0
+    for ch in s[1:]:
+        bits = bits << 6 | ord(ch) - 63
+    padding = 6 * need - nbits
+    if bits & ((1 << padding) - 1):
+        raise GraphFormatError("nonzero padding bits in graph6 record")
+    bits >>= padding
+    # column order (0,1),(0,2),(1,2),(0,3),... as in write_graph6, so the
+    # last column, j = n - 1, sits in the lowest j bits with row 0 highest
     edges = []
-    idx = 0
-    for code in codes[1:]:
-        for shift in range(5, -1, -1):
-            bit = code >> shift & 1
-            if idx >= nbits:
-                if bit:
-                    raise GraphFormatError("nonzero padding bits in graph6 record")
-                continue
-            if bit:
-                edges.append(pairs[idx])
-            idx += 1
+    for j in range(n - 1, 0, -1):
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        while col:
+            low = col & -col
+            edges.append((j - low.bit_length(), j))
+            col ^= low
     return Graph(n, edges)
 
 
@@ -370,25 +371,24 @@ def clique_number(g: Graph) -> int:
     """Size of a maximum clique, by branch-and-bound with a colouring bound."""
     if g.n == 0:
         return 0
-    best = 1
-    adj = g.adj
+    return _expand_clique(g.adj, 0, g.vertex_mask(), 1)
 
-    def expand(size: int, candidates: int) -> None:
-        nonlocal best
-        order = _greedy_color_bound(candidates, adj)
-        local = candidates
-        for v, color in reversed(order):
-            if size + color <= best:
-                return
-            bit = 1 << v
-            if not local & bit:
-                continue
-            sub = local & adj[v]
-            if size + 1 > best:
-                best = size + 1
-            if sub:
-                expand(size + 1, sub)
-            local &= ~bit
 
-    expand(0, g.vertex_mask())
+def _expand_clique(adj: tuple[int, ...], size: int, candidates: int, best: int) -> int:
+    """The larger of ``best`` and ``size`` plus the largest clique among the
+    candidates, all of which are adjacent to a clique of ``size`` vertices."""
+    order = _greedy_color_bound(candidates, adj)
+    local = candidates
+    for v, color in reversed(order):
+        if size + color <= best:
+            return best
+        bit = 1 << v
+        if not local & bit:
+            continue
+        sub = local & adj[v]
+        if size + 1 > best:
+            best = size + 1
+        if sub:
+            best = _expand_clique(adj, size + 1, sub, best)
+        local &= ~bit
     return best

@@ -33,7 +33,11 @@ regular-graph identities take their signed side from it; from the cover
 engine they would compare that engine with itself.  All searches are exact
 and deterministic; each one gives up with a ValueError once it has explored
 more than SEARCH_NODE_BUDGET nodes.  ``recheck_witness`` checks a result's
-witness against the graph from scratch, without the search.
+witness against the graph from scratch, without the search.  A solve reads
+the degree tuple once, and a solve that returns leaves no reference cycle:
+each recursive search function is unbound once its search is over, so
+reference counting frees the whole solve, with no work for the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
@@ -85,11 +89,14 @@ def is_feasible(g: Graph, values: Sequence[int], param: str) -> bool:
     sign, cap = _sign_and_cap(param)
     if len(values) != g.n:
         raise ValueError(f"labelling has {len(values)} entries for n={g.n}")
-    plus = sum(1 << v for v, s in enumerate(values) if s == 1)
-    return all(
-        sign * (2 * (g.adj[v] & plus).bit_count() - g.degree(v)) <= cap
-        for v in range(g.n)
-    )
+    plus = 0
+    for v, s in enumerate(values):
+        if s == 1:
+            plus |= 1 << v
+    for a in g.adj:
+        if sign * (2 * (a & plus).bit_count() - a.bit_count()) > cap:
+            return False
+    return True
 
 
 class WitnessError(Exception):
@@ -110,9 +117,15 @@ def recheck_witness(
         ok = (len(w) == g.n and set(w) <= {-1, 1} and sum(w) == result.value
               and is_feasible(g, w, param))
     else:
-        mask = sum(1 << v for v in w if 0 <= v < g.n)
-        ok = (len(w) == result.value == mask.bit_count()
-              and all((a & mask).bit_count() >= k for a in g.adj))
+        mask = 0
+        for v in w:
+            if 0 <= v < g.n:
+                mask |= 1 << v
+        ok = len(w) == result.value == mask.bit_count()
+        for a in g.adj:
+            if (a & mask).bit_count() < k:
+                ok = False
+                break
     if not ok:
         name = f"{param} (k={k})" if param == "ktd" else param
         raise WitnessError(f"{name} witness fails its re-check")
@@ -179,6 +192,7 @@ def optimize_signed(g: Graph, param: str) -> ParameterResult:
             vals[u] = 0
 
     dfs(0, 0)
+    del dfs  # dfs holds itself through its closure; unbound, the solve is freed at once
     return ParameterResult(sign * best, tuple(sign * x for x in best_vals), nodes)
 
 
@@ -188,10 +202,10 @@ def optimize_signed(g: Graph, param: str) -> ParameterResult:
 
 
 def _cover_search(
-    g: Graph, demand: Sequence[int], below: int | None = None
+    g: Graph, degrees: Sequence[int], demand: Sequence[int], below: int | None = None
 ) -> tuple[list[frozenset[int]], int]:
-    """Depth-first branch and bound over covers of ``demand``; returns the
-    covers it records and the nodes explored.
+    """Depth-first branch and bound over covers of ``demand``, given the
+    degrees of ``g``; returns the covers it records and the nodes explored.
 
     Every cover has at least max(max demand, ceil(total demand / Delta))
     vertices, so the search stops once the size it must beat meets that.
@@ -230,7 +244,7 @@ def _cover_search(
     classes: dict[int, int] = {}
     hungry = tight = outstanding = 0
     bit = 1
-    for d, k in zip(map(int.bit_count, adj), need):
+    for d, k in zip(degrees, need):
         classes[d] = classes.get(d, 0) | bit
         slack.append(d - k)
         if k:
@@ -335,13 +349,16 @@ def _cover_search(
             slack[low.bit_length() - 1] += 1
 
     dfs((1 << len(adj)) - 1, hungry, tight, outstanding)
+    del dfs  # dfs holds itself through its closure; unbound, the solve is freed at once
     return covers, nodes
 
 
-def _solve_ktuple(g: Graph, demand: Sequence[int]) -> ParameterResult:
+def _solve_ktuple(
+    g: Graph, degrees: Sequence[int], demand: Sequence[int]
+) -> ParameterResult:
     """Minimum cover of ``demand``.  Its nodes include the first dive, which
     builds the first cover: two per branching pick, one per forced step."""
-    covers, nodes = _cover_search(g, demand)
+    covers, nodes = _cover_search(g, degrees, demand)
     return ParameterResult(len(covers[-1]), covers[-1], nodes)
 
 
@@ -357,10 +374,19 @@ def _signed_demand(degrees: Sequence[int], param: str) -> tuple[int, list[int]]:
     return -sign, [(d - cap + 1) // 2 for d in degrees]
 
 
+def _labelling(n: int, cover: frozenset[int], label: int) -> tuple[int, ...]:
+    """``label`` on the cover and ``-label`` on every other vertex."""
+    values = [-label] * n
+    for v in cover:
+        values[v] = label
+    return tuple(values)
+
+
 def _signed_cover(g: Graph, param: str) -> ParameterResult:
-    label, demand = _signed_demand(_require_positive_min_degree(g), param)
-    res = _solve_ktuple(g, demand)
-    witness = tuple(label if v in res.witness else -label for v in range(g.n))
+    degrees = _require_positive_min_degree(g)
+    label, demand = _signed_demand(degrees, param)
+    res = _solve_ktuple(g, degrees, demand)
+    witness = _labelling(g.n, res.witness, label)
     return ParameterResult(label * (2 * res.value - g.n), witness, res.nodes_explored)
 
 
@@ -389,12 +415,13 @@ def enumerate_maximum_istdfs(
     ``optimum``, when given, must be istdn(g); it spares the solve.
     """
     degrees = _require_positive_min_degree(g)
-    if optimum is None:
-        optimum = istdn(g).value
-    size = (g.n - optimum) // 2
     _, demand = _signed_demand(degrees, "istdn")
-    covers, _ = _cover_search(g, demand, below=size + 1)
-    return sorted(tuple(-1 if v in m else 1 for v in range(g.n)) for m in covers)
+    if optimum is None:
+        size = _solve_ktuple(g, degrees, demand).value
+    else:
+        size = (g.n - optimum) // 2
+    covers, _ = _cover_search(g, degrees, demand, below=size + 1)
+    return sorted(_labelling(g.n, m, -1) for m in covers)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +434,17 @@ def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
     identities, whose notes print every level.  Level k comes first, from
     ktuple_total_domination, so k is checked before any solve."""
     top = ktuple_total_domination(g, k)
-    return [_solve_ktuple(g, [level] * g.n) for level in range(1, k)] + [top]
+    degrees = g.degrees()
+    return [_solve_ktuple(g, degrees, [level] * g.n) for level in range(1, k)] + [top]
 
 
 def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
     """Minimum size of a set D with |N(v) & D| >= k for every vertex v."""
-    delta = min(_require_positive_min_degree(g))
+    degrees = _require_positive_min_degree(g)
+    delta = min(degrees)
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
-    return _solve_ktuple(g, [k] * g.n)
+    return _solve_ktuple(g, degrees, [k] * g.n)
 
 
 def total_domination(g: Graph) -> ParameterResult:

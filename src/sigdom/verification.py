@@ -14,7 +14,9 @@ identities read and the labelling behind lemma42's shortfall are read only
 after their witnesses pass a re-check.
 Every comparison is exact, in integers or Fractions; no check compares
 floats.  Only the clique-constrained bound prints a rounded rhs, and only
-when its square root is irrational.
+when its square root is irrational.  A report line is written with one
+format string, strings through json's C encoder and numbers as exact text,
+in the same bytes as json.dumps of the report's fields.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import NamedTuple
 from collections.abc import Callable, Iterable
 
 from .constructions import (
@@ -59,14 +63,17 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _as_json_number(x) -> "int | float":
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
-    return x
+def _json_number(x: "int | float | Fraction") -> str:
+    """``x`` as json.dumps writes it, a Fraction as an int when it is
+    integral and as a float otherwise; a float must be finite."""
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x)
+    return int.__repr__(x.numerator) if x.denominator == 1 else float.__repr__(float(x))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one check on one graph.
 
     ``holds`` is the literal truth of the checked relation; ``sharp`` flags
@@ -84,17 +91,15 @@ class CheckReport:
     notes: str = ""
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "check_id": self.check_id,
-                "graph_id": self.graph_id,
-                "lhs": _as_json_number(self.lhs),
-                "rhs": _as_json_number(self.rhs),
-                "holds": self.holds,
-                "sharp": self.sharp,
-                "notes": self.notes,
-            }
-        )
+        """The report as one JSON object, in the bytes json.dumps writes for
+        it, built from one format string: strings go through json's C
+        encoder, numbers through ``_json_number``."""
+        return (f'{{"check_id": {_json_string(self.check_id)}, '
+                f'"graph_id": {_json_string(self.graph_id)}, '
+                f'"lhs": {_json_number(self.lhs)}, "rhs": {_json_number(self.rhs)}, '
+                f'"holds": {"true" if self.holds else "false"}, '
+                f'"sharp": {"true" if self.sharp else "false"}, '
+                f'"notes": {_json_string(self.notes)}}}')
 
 
 @dataclass
@@ -113,7 +118,9 @@ class SuiteSummary:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
     def add(self, report: CheckReport) -> None:
-        c = self.counts.setdefault(report.check_id, _Counts())
+        c = self.counts.get(report.check_id)
+        if c is None:
+            c = self.counts[report.check_id] = _Counts()
         if not report.applicable:
             c.inapplicable += 1
             return
@@ -154,6 +161,24 @@ class SuiteSummary:
 # ---------------------------------------------------------------------------
 
 
+class _fact:
+    """A GraphFacts attribute computed on first read and then stored in the
+    instance, where it hides this descriptor from every later read.  Unlike
+    functools.cached_property it takes no lock: a GraphFacts serves one
+    graph in one thread."""
+
+    def __init__(self, compute: Callable[["GraphFacts"], object]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, facts: "GraphFacts | None", owner: type | None = None):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
+
+
 class GraphFacts:
     """What the checks ask of one graph, each fact computed on first use.
 
@@ -168,19 +193,19 @@ class GraphFacts:
         self.graph = graph
         self.min_degree = min_degree(graph)
 
-    @cached_property
+    @_fact
     def graph6(self) -> str:
         return write_graph6(self.graph)
 
-    @cached_property
+    @_fact
     def regular_degree(self) -> int | None:
         return is_regular(self.graph)
 
-    @cached_property
+    @_fact
     def connected(self) -> bool:
         return is_connected(self.graph)
 
-    @cached_property
+    @_fact
     def regular_obstacle(self) -> str | None:
         """Why the graph is not connected and r-regular with r >= 1, or None."""
         if self.regular_degree is None:
@@ -191,21 +216,21 @@ class GraphFacts:
             return "isolated vertex"
         return None
 
-    @cached_property
+    @_fact
     def tree(self) -> bool:
         """Whether the graph is a tree on at least 2 vertices."""
         g = self.graph
         return g.n >= 2 and g.m == g.n - 1 and self.connected
 
-    @cached_property
+    @_fact
     def clique_number(self) -> int:
         return clique_number(self.graph)
 
-    @cached_property
+    @_fact
     def istdn(self) -> ParameterResult:
         return recheck_witness(self.graph, "istdn", istdn(self.graph))
 
-    @cached_property
+    @_fact
     def tree_structure(self) -> TreeStructure:
         """Raises ValueError unless ``tree`` holds."""
         return tree_structure(self.graph)

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import operator
@@ -22,10 +23,11 @@ from sigdom.graphs import (
     path_graph,
     write_graph6,
 )
-from sigdom.solvers import ParameterResult, istdn
+from sigdom.solvers import ParameterResult, istdn, total_domination
 from sigdom.verification import CHECK_IDS
 
-CUBIC = str(Path(__file__).resolve().parent.parent / "data" / "cubic_upto10.g6")
+DATA = Path(__file__).resolve().parent.parent / "data"
+CUBIC = str(DATA / "cubic_upto10.g6")
 HR4 = write_graph6(build_matched_multipartite(4).graph)
 
 
@@ -306,6 +308,40 @@ def test_byte_deterministic_output(capsys, monkeypatch):
     _, first, _ = run_cli(capsys, monkeypatch, args)
     _, second, _ = run_cli(capsys, monkeypatch, args)
     assert first == second
+
+
+#: (argv, sha256 of its stdout), pinned when report lines stopped going
+#: through json.dumps.  A change that moves an output byte re-pins here and
+#: says why in CHANGES.md.
+PINNED_STDOUT = [
+    (["verify", "--suite", "all", "--input", CUBIC],
+     "5c3a49086673b28ff23608c4011702eb691e84cd4ee33be857ec6fce04bfdb52"),
+    (["verify", "--suite", "all", "--input", str(DATA / "quartic_5to9.g6")],
+     "f90ff3e714458829f87b9dc790f3d29e18da91483bfa8b40a9f51865796284ad"),
+    (["verify", "--suite", "all", "--trees-up-to", "9"],
+     "3ac65b572f541264877f5fea710a88e1cd7431e57347c5739cbab0040e25e9cb"),
+    (["compute", "--param", "istdn", "--input", CUBIC],
+     "631fac470c82feb1969ce5c7147cc684158dae2f1e5667ff26cd299376df7111"),
+    (["compute", "--param", "stdn", "--input", CUBIC],
+     "a506cea833a526c9ebb1c106472cb79e9efba1a3e3234bcc94b72bbc6ebcfeed"),
+    (["compute", "--param", "st2in", "--input", CUBIC],
+     "a087dd034ebe9da66d8857cf6932374f4585c72d31ac425fca5c748167783d8b"),
+    (["compute", "--param", "td", "--input", CUBIC],
+     "e534f284acb121396250819aede398c3a254f01a4fce36ef1dec8221904692b2"),
+    (["compute", "--param", "ktd", "--k", "2", "--input", CUBIC],
+     "9ed2c9f92fb0f6a9a8c1031dab626cf00eb534c76b7967fc2769f0a11f16745e"),
+]
+
+
+def test_outputs_and_search_nodes_are_pinned(capsys, monkeypatch, connected_upto8):
+    # the benchmark compares JSON values, not bytes; this catches a moved
+    # byte, and the node sums catch a changed search order on the corpus
+    for argv, digest in PINNED_STDOUT:
+        code, out, _ = run_cli(capsys, monkeypatch, argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    nodes = [sum(solve(g).nodes_explored for g in connected_upto8)
+             for solve in (istdn, total_domination)]
+    assert nodes == [170_762, 60_915]
 
 
 def test_mutually_exclusive_inputs(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import functools
+import gc
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from sigdom import solvers
 from sigdom.constructions import build_heawood, build_matched_multipartite
 from sigdom.graphs import (
     Graph,
+    clique_number,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -274,6 +277,37 @@ def test_deterministic_results():
     assert first.nodes_explored == second.nodes_explored
 
 
+#: Every solver entry point, by name, as a function of the graph alone.
+SOLVES = {
+    "istdn": istdn,
+    "stdn": stdn,
+    "st2in": st2in,
+    "td": total_domination,
+    "ktd k=2": functools.partial(ktuple_total_domination, k=2),
+    **{f"optimize_signed {p}": functools.partial(optimize_signed, param=p)
+       for p in SIGNED_PROBLEMS},
+    "clique_number": clique_number,
+    "enumerate_maximum_istdfs": enumerate_maximum_istdfs,
+}
+
+
+def test_a_solve_leaves_no_garbage():
+    # reference counting alone frees a whole solve: a reference cycle left
+    # by each call would cost the cyclic collector on every corpus run.
+    # "G??Nfw" is a corpus graph: n = 8, degrees 2 (six times), 4 and 6.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for g in (cycle_graph(8), build_heawood(), parse_graph6("G??Nfw")):
+            for name, solve in SOLVES.items():
+                solve(g)
+                assert gc.collect() == 0, (name, g)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @st.composite
 def connected_graphs(draw, max_n: int = 9) -> Graph:
     """A random spanning tree plus random extra edges, on 2..max_n vertices."""
@@ -319,11 +353,11 @@ def test_cover_engine_on_arbitrary_demands(case):
     # and exactly the minimum covers, each once, from the enumerating mode
     g, demand = case
     size, minimum_covers = brute_cover(g, demand)
-    res = solvers._solve_ktuple(g, demand)
+    res = solvers._solve_ktuple(g, g.degrees(), demand)
     mask = sum(1 << v for v in res.witness)
     assert res.value == len(res.witness) == size
     assert all((a & mask).bit_count() >= d for a, d in zip(g.adj, demand))
-    covers, _ = solvers._cover_search(g, demand, below=size + 1)
+    covers, _ = solvers._cover_search(g, g.degrees(), demand, below=size + 1)
     assert len(covers) == len(minimum_covers)
     assert set(covers) == minimum_covers
 
@@ -331,8 +365,8 @@ def test_cover_engine_on_arbitrary_demands(case):
 def test_cover_engine_without_demand_or_edges():
     # the lower bound divides by Delta only when some demand is outstanding
     for g in (Graph(1, []), Graph(3, [])):
-        assert solvers._cover_search(g, [0] * g.n) == ([frozenset()], 0)
-        assert solvers._cover_search(g, [0] * g.n, below=1) == ([frozenset()], 0)
+        assert solvers._cover_search(g, g.degrees(), [0] * g.n) == ([frozenset()], 0)
+        assert solvers._cover_search(g, g.degrees(), [0] * g.n, below=1) == ([frozenset()], 0)
 
 
 def test_st2in_with_zero_demand_everywhere():

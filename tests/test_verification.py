@@ -215,6 +215,43 @@ def test_report_json_schema():
     assert isinstance(payload["rhs"], float)  # -4/3 is not integral
 
 
+def _dumps_line(rep: CheckReport) -> str:
+    """The report line as json.dumps writes it: the oracle for json_line."""
+    def number(x):
+        if isinstance(x, Fraction):
+            return int(x) if x.denominator == 1 else float(x)
+        return x
+
+    return json.dumps({
+        "check_id": rep.check_id,
+        "graph_id": rep.graph_id,
+        "lhs": number(rep.lhs),
+        "rhs": number(rep.rhs),
+        "holds": rep.holds,
+        "sharp": rep.sharp,
+        "notes": rep.notes,
+    })
+
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers().map(Fraction),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: graph6 characters, chr 63 to 126, the backslash and "~" among them
+_GRAPH6_TEXT = st.text(st.characters(min_codepoint=63, max_codepoint=126), min_size=1)
+_NOTES = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001f600'),
+                           st.characters()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(CheckReport, st.sampled_from(CHECK_IDS), _GRAPH6_TEXT, _NUMBERS,
+                 _NUMBERS, st.booleans(), st.booleans(), st.booleans(), _NOTES))
+def test_report_line_equals_json_dumps(rep):
+    assert rep.json_line() == _dumps_line(rep)
+
+
 TWO_K3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 TWO_K4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
 
