@@ -37,7 +37,6 @@ from .solvers import (
     total_domination,
 )
 from .constructions import (
-    MatchedMultipartite,
     TreeStructure,
     build_heawood,
     build_matched_multipartite,

@@ -315,7 +315,7 @@ def _cmd_verify(args) -> int:
 #: name -> (parameter count, vertex count from the parameters, builder,
 #: istdn closed form or None)
 _CONSTRUCTIONS = {
-    "hr": (1, lambda r: r * r * (r - 1), lambda r: build_matched_multipartite(r).graph,
+    "hr": (1, lambda r: r * r * (r - 1), build_matched_multipartite,
            lambda r: r * (r - 1) ** 2 - r * (r - 1)),
     "prop41": (1, lambda k: 3 * k + 4 if k >= 0 else -9 * k,
                build_prescribed_weight_tree, lambda k: k),

@@ -1,13 +1,14 @@
 """Extremal constructions and the structural tree family behind the leaf
 floor bound.
 
-Everything here is a pure constructor or a pure recognizer; exports are
-plain Graphs so they can be written straight to graph6.
+Everything here is a pure constructor or a pure recognizer.  Every builder
+returns a plain Graph, so it can be written straight to graph6; the tree
+decomposition is a NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, is_tree
 
@@ -17,9 +18,8 @@ from .graphs import Graph, is_tree
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeStructure:
-    """Leaves, support vertices and per-support leaf groups of a tree.
+class TreeStructure(NamedTuple):
+    """Support vertices and per-support leaf groups of a tree.
 
     ``support_degree`` is the maximum degree of the subgraph induced on the
     supports; ``outsiders`` are the vertices that are neither leaves nor
@@ -27,7 +27,6 @@ class TreeStructure:
     """
 
     tree: Graph
-    leaves: frozenset[int]
     supports: tuple[int, ...]
     leaf_groups: dict[int, frozenset[int]]
     leaf_counts: tuple[int, ...]
@@ -40,8 +39,8 @@ class TreeStructure:
 
 
 def tree_structure(t: Graph) -> TreeStructure:
-    """Decompose a tree on >= 2 vertices into leaves L, supports S, the leaf
-    groups L_v, and the maximum degree of the subgraph induced on S."""
+    """Decompose a tree on >= 2 vertices into its supports S, the leaf group
+    L_v of each, and the maximum degree of the subgraph induced on S."""
     if t.n < 2 or not is_tree(t):
         raise ValueError("input must be a tree on at least 2 vertices")
     leaves = frozenset(v for v in range(t.n) if t.degree(v) == 1)
@@ -54,7 +53,7 @@ def tree_structure(t: Graph) -> TreeStructure:
     counts = tuple(len(groups[v]) for v in supports)
     support_degree = max((t.adj[v] & support_mask).bit_count() for v in supports)
     outsiders = frozenset(range(t.n)) - leaves - set(supports)
-    return TreeStructure(t, leaves, supports, groups, counts, support_degree, outsiders)
+    return TreeStructure(t, supports, groups, counts, support_degree, outsiders)
 
 
 def leaf_floor(ts: TreeStructure) -> int:
@@ -113,34 +112,17 @@ def floor_family_membership(ts: TreeStructure) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchedMultipartite:
-    """r-partite graph of order r^2(r-1) built from r complete-bipartite
-    gadgets.
+def build_matched_multipartite(r: int) -> Graph:
+    """hr(r): the r-partite graph of order r^2(r-1) built from r
+    complete-bipartite gadgets, for a given r >= 2.
 
-    Core blocks X_1..X_r (size r-1 each) are pairwise completely joined;
-    matched blocks Y_1..Y_r (size (r-1)^2 each) carry one perfect matching
-    between every pair, so each Y-vertex has exactly r-1 neighbours outside
-    its own gadget.  Colour class i is X_i together with Y_{i+1 mod r}.
-    """
-
-    r: int
-    graph: Graph
-    core_blocks: tuple[tuple[int, ...], ...]
-    matched_blocks: tuple[tuple[int, ...], ...]
-    color_classes: tuple[tuple[int, ...], ...]
-
-    def canonical_labelling(self) -> tuple[int, ...]:
-        """-1 on every core vertex, +1 on every matched vertex."""
-        vals = [1] * self.graph.n
-        for block in self.core_blocks:
-            for v in block:
-                vals[v] = -1
-        return tuple(vals)
-
-
-def build_matched_multipartite(r: int) -> MatchedMultipartite:
-    """Build the order-r^2(r-1) construction for a given r >= 2.
+    Gadget i joins the core block X_i (size r-1) completely to the matched
+    block Y_i (size (r-1)^2).  Core blocks are pairwise completely joined;
+    matched blocks carry one perfect matching between every pair, so each
+    Y-vertex has exactly r-1 neighbours outside its own gadget.  Colour
+    class i is X_i together with Y_{i+1 mod r}.  -1 on the r(r-1) core
+    vertices and +1 on the rest is feasible for istdn, with weight
+    r(r-1)^2 - r(r-1).
 
     Vertex numbering: X_1..X_r first (blocks of size r-1), then Y_1..Y_r
     (blocks of size (r-1)^2).  The cross matchings identify equal indices
@@ -170,11 +152,7 @@ def build_matched_multipartite(r: int) -> MatchedMultipartite:
                     edges.append((x, x2))
             for t in range(ys):
                 edges.append((matched[i][t], matched[j][t]))
-    g = Graph(r * xs + r * ys, edges)
-    classes = tuple(
-        tuple(core[i]) + tuple(matched[(i + 1) % r]) for i in range(r)
-    )
-    return MatchedMultipartite(r, g, core, matched, classes)
+    return Graph(r * xs + r * ys, edges)
 
 
 # ---------------------------------------------------------------------------

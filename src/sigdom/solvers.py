@@ -12,11 +12,14 @@ The functions that take such a name raise ValueError on any other:
 
 Every parameter is a minimum cover of a per-vertex demand vector: a vertex
 set S with |N(v) & S| >= demand[v] for every v, found by one branch-and-bound
-search over bitset adjacency (``_solve_ktuple``).  With h = s*f and M the
+search over bitset adjacency (``_cover_search``).  With h = s*f and M the
 set where h = -1, h(N(v)) = deg v - 2|N(v) & M|, so a signed problem covers
 with M, demanding ceil((deg v - s*b) / 2), and its value is
 s*(n - 2 min|M|).  ktd and td cover with D, demanding k or 1; their value
 is min|D|.  A signed witness is the labelling, a tuple of n values +-1.
+Each parameter's solver returns one ParameterResult, a NamedTuple of the
+value, the witness and the nodes searched; a signed solve builds it
+straight from the cover the search returns.
 
 The cover search branches on the most constrained vertex, after Knuth's
 Algorithm X: a vertex with demand left whose undecided neighbours exceed
@@ -42,8 +45,8 @@ garbage collector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -74,8 +77,7 @@ def _sign_and_cap(param: str) -> tuple[int, int]:
     return sign, sign * bound
 
 
-@dataclass(frozen=True)
-class ParameterResult:
+class ParameterResult(NamedTuple):
     """Exact optimum with an achieving witness and the nodes its search
     explored, the dive that found the first witness included."""
 
@@ -385,9 +387,9 @@ def _labelling(n: int, cover: frozenset[int], label: int) -> tuple[int, ...]:
 def _signed_cover(g: Graph, param: str) -> ParameterResult:
     degrees = _require_positive_min_degree(g)
     label, demand = _signed_demand(degrees, param)
-    res = _solve_ktuple(g, degrees, demand)
-    witness = _labelling(g.n, res.witness, label)
-    return ParameterResult(label * (2 * res.value - g.n), witness, res.nodes_explored)
+    covers, nodes = _cover_search(g, degrees, demand)
+    cover = covers[-1]
+    return ParameterResult(label * (2 * len(cover) - g.n), _labelling(g.n, cover, label), nodes)
 
 
 def istdn(g: Graph) -> ParameterResult:
@@ -417,7 +419,7 @@ def enumerate_maximum_istdfs(
     degrees = _require_positive_min_degree(g)
     _, demand = _signed_demand(degrees, "istdn")
     if optimum is None:
-        size = _solve_ktuple(g, degrees, demand).value
+        size = len(_cover_search(g, degrees, demand)[0][-1])
     else:
         size = (g.n - optimum) // 2
     covers, _ = _cover_search(g, degrees, demand, below=size + 1)

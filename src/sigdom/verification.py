@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
@@ -102,20 +101,19 @@ class CheckReport(NamedTuple):
                 f'"notes": {_json_string(self.notes)}}}')
 
 
-@dataclass
 class _Counts:
-    passed: int = 0
-    failed: int = 0
-    sharp: int = 0
-    inapplicable: int = 0
+    """One check's tallies, counted up in place."""
+
+    def __init__(self) -> None:
+        self.passed = self.failed = self.sharp = self.inapplicable = 0
 
 
-@dataclass
 class SuiteSummary:
     """Per-check counters plus the list of genuine violations."""
 
-    counts: dict[str, _Counts] = field(default_factory=dict)
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.counts: dict[str, _Counts] = {}
+        self.failures: list[tuple[str, str]] = []
 
     def add(self, report: CheckReport) -> None:
         c = self.counts.get(report.check_id)

@@ -96,12 +96,12 @@ def test_criterion_03_domination_upper_bound_corpus(connected_upto8):
 
 def test_criterion_04_clique_bound_sharpness():
     ok = True
-    h2 = build_matched_multipartite(2).graph
+    h2 = build_matched_multipartite(2)
     ok &= istdn(h2).value == 0
     # c = 1, radicand 9: bound = 4 - 2*(-1 + 3) = 0 exactly
     ok &= 0 == h2.n - Fraction(2, 1) * (-1 + 3)
     t0 = time.time()
-    h3 = build_matched_multipartite(3).graph
+    h3 = build_matched_multipartite(3)
     value = istdn(h3).value
     elapsed = time.time() - t0
     ok &= value == 6
@@ -109,7 +109,7 @@ def test_criterion_04_clique_bound_sharpness():
     ok &= 6 == h3.n - Fraction(3, 2) * (-2 + 10)
     # r = 4, n = 48: istdn = r(r-1)^2 - r(r-1) = 24, after one dive of 24
     # nodes, two for each of the 12 minus vertices it picks
-    h4 = build_matched_multipartite(4).graph
+    h4 = build_matched_multipartite(4)
     res = istdn(h4)
     ok &= (res.value, res.nodes_explored) == (24, 24) and 24 == 4 * 3**2 - 4 * 3
     # c = 3, radicand 9 + 432 = 441: bound = 48 - (4/3)*(-3 + 21) = 24 exactly

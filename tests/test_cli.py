@@ -28,7 +28,7 @@ from sigdom.verification import CHECK_IDS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CUBIC = str(DATA / "cubic_upto10.g6")
-HR4 = write_graph6(build_matched_multipartite(4).graph)
+HR4 = write_graph6(build_matched_multipartite(4))
 
 
 def run_cli(capsys, monkeypatch, argv, stdin: str = ""):
@@ -330,6 +330,32 @@ PINNED_STDOUT = [
      "e534f284acb121396250819aede398c3a254f01a4fce36ef1dec8221904692b2"),
     (["compute", "--param", "ktd", "--k", "2", "--input", CUBIC],
      "9ed2c9f92fb0f6a9a8c1031dab626cf00eb534c76b7967fc2769f0a11f16745e"),
+    # construct's bytes: the other CLI tests compare construct with the
+    # builders, so only these catch a drift in, e.g., hr's vertex numbering
+    (["construct", "--family", "hr", "2", "--describe"],
+     "6aa325b2b50fff01f49d9ea35da35e80bfaf15ea7738f1fd7f9814e0c5c5fc3a"),
+    (["construct", "--family", "hr", "3", "--describe"],
+     "349964ffb53488515d08573462cbfbcbfadf3a04c055753c3ccd6e39670bf731"),
+    (["construct", "--family", "hr", "4", "--describe"],
+     "3302e6858e0e1c2cb7b2db048ee14eead65d1a56040a85df800ddc7173aca935"),
+    (["construct", "--family", "prop41", "-2", "--describe"],
+     "5060fa9d0979f337e3b0c458a39b3e85e41975a51ea50f11027207eacdb36b6c"),
+    (["construct", "--family", "prop41", "0", "--describe"],
+     "2cc25fe831359596171e8ed8d1a11ffe70b9281fa28a97a891d735ba139d2322"),
+    (["construct", "--family", "prop41", "3", "--describe"],
+     "ccd944721c35b181eda3b0b8f1613005cb9e85fdad3095258b3ba4d08b9f5f6e"),
+    (["construct", "--family", "heawood"],
+     "73ee9f88ba51504a30c5676c5f0ffbf611c38d9618bfd71cbdd4f2596a6dd7f7"),
+    (["construct", "--family", "complete", "5"],
+     "04003765f09de2f4e929e50b225b2fff590e4f0b9106c3eab308682abdd60944"),
+    (["construct", "--family", "cycle", "8"],
+     "1328ec14109fb8b8aac06295645d04ab827de4f6cf4a83d5e24704384f235f35"),
+    (["construct", "--family", "path", "5"],
+     "eba05293b4acbf84a66fb5b571f9be862e44d28c931d4cb3d4bd75a92f19f6dd"),
+    (["construct", "--family", "star", "5"],
+     "86a7fdf7ad5b5f7bcd40c3d0e1e69725d06269d5a835cbae995f3b0d9ffebb62"),
+    (["construct", "--family", "bipartite", "2", "3"],
+     "4a5e598d08025fa1eb69c752d3b7d86ba442abd8dc713c521bfb25fe43a49b2a"),
 ]
 
 
@@ -557,13 +583,16 @@ def test_no_pool_for_one_job_or_empty_input(jobs, stdin):
 
 
 def test_runtime_loads_only_the_standard_library():
-    # -S skips site, so no site-packages module, nor any .pth import, can load
+    # -S skips site, so no site-packages module, nor any .pth import, can load;
+    # heavy modules are looked up before sysconfig, which may load them itself
     script = (
-        "import json, sys, sysconfig\n"
+        "import sys\n"
         "from sigdom.cli import main\n"
         "code = main(sys.argv[1:])\n"
+        "heavy = sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules))\n"
+        "import json, sysconfig\n"
         "stdlib = {sysconfig.get_path('stdlib'), sysconfig.get_path('platstdlib')}\n"
-        "print(json.dumps([code, sorted(stdlib), sorted(\n"
+        "print(json.dumps([code, heavy, sorted(stdlib), sorted(\n"
         "    getattr(m, '__file__', None) or '' for m in list(sys.modules.values()))]))\n"
     )
     src = Path(cli.__file__).resolve().parent.parent
@@ -572,8 +601,10 @@ def test_runtime_loads_only_the_standard_library():
          "--jobs", "2"],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    code, stdlib, files = json.loads(ran.stdout.splitlines()[-1])
+    code, heavy, stdlib, files = json.loads(ran.stdout.splitlines()[-1])
     assert code == 0
+    # dataclasses alone pulls in inspect and ast on every start
+    assert heavy == []
     roots = [Path(p).resolve() for p in stdlib] + [src / "sigdom"]
     foreign = [f for f in files if f and not any(Path(f).resolve().is_relative_to(r)
                                                    for r in roots)]

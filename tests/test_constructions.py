@@ -25,6 +25,10 @@ from sigdom.solvers import is_feasible, istdn
 from sigdom.trees import free_trees
 
 
+def leaves(t: Graph) -> frozenset[int]:
+    return frozenset(v for v in range(t.n) if t.degree(v) == 1)
+
+
 def double_star(a: int, b: int) -> Graph:
     """Two adjacent centres 0,1 with a and b leaves respectively."""
     edges = [(0, 1)]
@@ -42,7 +46,7 @@ def test_tree_structure_star():
     ts = tree_structure(star_graph(5))
     assert ts.supports == (0,)
     assert ts.leaf_counts == (4,)
-    assert ts.leaves == {1, 2, 3, 4}
+    assert leaves(ts.tree) == {1, 2, 3, 4}
     assert ts.support_degree == 0
     assert ts.outsiders == frozenset()
 
@@ -65,7 +69,7 @@ def test_tree_structure_double_star():
 def test_tree_structure_two_vertex_path():
     ts = tree_structure(path_graph(2))
     assert set(ts.supports) == {0, 1}
-    assert ts.leaves == {0, 1}
+    assert leaves(ts.tree) == {0, 1}
     assert ts.leaf_counts == (1, 1)
 
 
@@ -73,8 +77,8 @@ def test_tree_structure_leaf_partition():
     for n in range(2, 9):
         for t in free_trees(n):
             ts = tree_structure(t)
-            assert sum(ts.leaf_counts) == len(ts.leaves)
-            assert set().union(*ts.leaf_groups.values()) == ts.leaves
+            assert sum(ts.leaf_counts) == len(leaves(t))
+            assert set().union(*ts.leaf_groups.values()) == leaves(t)
 
 
 def test_tree_structure_rejects_non_trees():
@@ -89,17 +93,29 @@ def test_tree_structure_rejects_non_trees():
 # ---------------------------------------------------------------------------
 
 
+def hr_blocks(r: int) -> tuple[list[range], list[range]]:
+    """The core blocks X_1..X_r and matched blocks Y_1..Y_r of hr(r), read
+    from the builder's documented numbering: X_1..X_r first, in blocks of
+    r-1, then Y_1..Y_r, in blocks of (r-1)^2."""
+    xs, ys = r - 1, (r - 1) ** 2
+    core = [range(i * xs, (i + 1) * xs) for i in range(r)]
+    matched = [range(r * xs + i * ys, r * xs + (i + 1) * ys) for i in range(r)]
+    return core, matched
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_matched_multipartite_invariants(r):
-    built = build_matched_multipartite(r)
-    g = built.graph
+    g = build_matched_multipartite(r)
+    core_blocks, matched_blocks = hr_blocks(r)
+    # colour class i is X_i together with Y_{i+1 mod r}
+    color_classes = [[*core_blocks[i], *matched_blocks[(i + 1) % r]] for i in range(r)]
     assert g.n == r * r * (r - 1)
     assert min_degree(g) == 2 * r - 2
     assert clique_number(g) == r
     assert is_connected(g)
     # colour classes partition the vertices and are independent
     seen = set()
-    for cls in built.color_classes:
+    for cls in color_classes:
         for v in cls:
             assert v not in seen
             seen.add(v)
@@ -109,32 +125,36 @@ def test_matched_multipartite_invariants(r):
     assert len(seen) == g.n
     # matched blocks: exactly r-1 neighbours outside the own gadget
     own = {}
-    for i, block in enumerate(built.matched_blocks):
+    for i, block in enumerate(matched_blocks):
         for v in block:
             own[v] = i
-    for i, block in enumerate(built.matched_blocks):
+    for i, block in enumerate(matched_blocks):
         for v in block:
             outside = sum(
                 1 for u in g.neighbors(v) if u in own and own[u] != i
             )
             assert outside == r - 1
             assert g.degree(v) == 2 * r - 2
-    for block in built.core_blocks:
+    for block in core_blocks:
         for v in block:
             assert g.degree(v) == 2 * (r - 1) ** 2
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_matched_multipartite_canonical_labelling(r):
-    built = build_matched_multipartite(r)
-    f = built.canonical_labelling()
-    assert len(f) == built.graph.n and set(f) <= {-1, 1}
-    assert is_feasible(built.graph, f, "istdn")
+    g = build_matched_multipartite(r)
+    core_blocks, _ = hr_blocks(r)
+    # -1 on the r(r-1) core vertices, +1 on every matched vertex
+    core = {v for block in core_blocks for v in block}
+    assert len(core) == r * (r - 1)
+    f = tuple(-1 if v in core else 1 for v in range(g.n))
+    assert len(f) == g.n and set(f) <= {-1, 1}
+    assert is_feasible(g, f, "istdn")
     assert sum(f) == r * (r - 1) ** 2 - r * (r - 1)
 
 
 def test_matched_multipartite_r2_is_four_cycle():
-    g = build_matched_multipartite(2).graph
+    g = build_matched_multipartite(2)
     assert g.n == 4 and is_regular(g) == 2 and is_connected(g)
     assert girth(g) == 4
 

@@ -41,8 +41,8 @@ GRAPHS = {
     "gnp26": parse_graph6(
         "Yi??G?Yc?G_KB@?_?eG?@_?G_@_H???wJGOAO@?CQ?@PB_oPQCC?OA??"),
     "C30": cycle_graph(30),
-    "hr2": build_matched_multipartite(2).graph,
-    "hr3": build_matched_multipartite(3).graph,
+    "hr2": build_matched_multipartite(2),
+    "hr3": build_matched_multipartite(3),
     "heawood": build_heawood(),
     "tree40a": parse_graph6(
         "g??G??`?????????_??C?A????a?????@A?????????O???_@OO???????_A?A?_?C??O"
@@ -127,7 +127,7 @@ def test_hr4_matches_the_milp_oracle():
     # hr(4), n = 48, minimum degree 6: each of these closes within 1,633
     # nodes.  stdn passes the node budget and ktd at k = 4 takes millions of
     # nodes, so both wait for the twin rule and the gain bound.
-    g = build_matched_multipartite(4).graph
+    g = build_matched_multipartite(4)
     for param in ("istdn", "st2in"):
         solve, *definition = SIGNED[param]
         res = recheck_witness(g, param, solve(g))

@@ -102,7 +102,7 @@ def test_is_feasible_examples():
 LABELLING_SEARCH_COUNTS = {
     "heawood": (build_heawood(), ((-10, 532), (10, 532), (2, 1801))),
     "C12": (cycle_graph(12), ((0, 250), (12, 23), (0, 250))),
-    "hr3": (build_matched_multipartite(3).graph,
+    "hr3": (build_matched_multipartite(3),
             ((6, 11516), (10, 1963), (6, 11516))),
     "K7": (complete_graph(7), ((-1, 104), (3, 90), (-1, 104))),
     "K3,3": (complete_bipartite_graph(3, 3), ((-2, 36), (2, 36), (2, 19))),
@@ -383,7 +383,7 @@ def test_hr_closes_after_one_dive(r):
     # hr(r) attains the clique-constrained bound, istdn = r(r-1)^2 - r(r-1),
     # and the first dive meets the lower bound: two nodes for each of the
     # (n - istdn) / 2 minus vertices it picks, and no backtracking
-    g = build_matched_multipartite(r).graph
+    g = build_matched_multipartite(r)
     res = istdn(g)
     assert res.value == r * (r - 1) ** 2 - r * (r - 1)
     assert res.nodes_explored == g.n - res.value
@@ -398,7 +398,7 @@ CUBIC_30 = "]C??G??O_??GGH_A@????c?@@??_?P?I?C??@?K?SO??CC?O???GG??_@AC?A?@GAC@?
 #: Search nodes of (istdn, stdn, st2in) when these bounds were set.
 NODE_COUNTS = {
     "C30": (cycle_graph(30), (158, 28, 158)),
-    "hr3": (build_matched_multipartite(3).graph, (12, 236, 12)),
+    "hr3": (build_matched_multipartite(3), (12, 236, 12)),
     "heawood": (build_heawood(), (134, 134, 62)),
     "cubic24": (parse_graph6(CUBIC_24), (301, 301, 174)),
     "cubic30": (parse_graph6(CUBIC_30), (1244, 1244, 354)),

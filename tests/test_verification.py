@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import functools
 import json
@@ -48,7 +47,7 @@ def test_t22_inapplicable_on_disconnected():
 def test_clique_bound_exact_cases():
     rep = evaluate_check("turan", cycle_graph(4))
     assert rep.holds and rep.sharp and rep.rhs == 0 and "exact" in rep.notes
-    h3 = build_matched_multipartite(3).graph
+    h3 = build_matched_multipartite(3)
     rep = evaluate_check("turan", h3)
     assert rep.holds and rep.sharp and rep.rhs == 6 and "exact" in rep.notes
 
@@ -78,7 +77,7 @@ def test_clique_bound_against_a_decimal_oracle(connected_upto8, cubic_upto10, qu
     # omega, delta and the bound come from networkx and decimal, not from the check
     corpus = connected_upto8 + cubic_upto10 + quartic_5to9
     corpus += [t for n in range(2, 13) for t in free_trees(n)]
-    corpus += [build_matched_multipartite(r).graph for r in (2, 3, 4)]
+    corpus += [build_matched_multipartite(r) for r in (2, 3, 4)]
     reports = []
     run_suite(corpus, ["turan"], on_report=reports.append)
     assert len(reports) == len(corpus)
@@ -125,16 +124,16 @@ def test_regular_identities_are_independent_of_the_cover_engine(monkeypatch):
     graphs = (complete_graph(4), petersen, circulant)
     assert all(evaluate_check("regular_identities", g).holds for g in graphs)
 
-    real = solvers._solve_ktuple
+    real = solvers._cover_search
 
     def padded(g, *args, **kwargs):
         # a feasible cover one vertex above the minimum: its witness passes
         # the re-check, so only the identities can catch it
-        res = real(g, *args, **kwargs)
-        extra = min(set(range(g.n)) - res.witness)
-        return dataclasses.replace(res, value=res.value + 1, witness=res.witness | {extra})
+        covers, nodes = real(g, *args, **kwargs)
+        extra = min(set(range(g.n)) - covers[-1])
+        return [covers[-1] | {extra}], nodes
 
-    monkeypatch.setattr(solvers, "_solve_ktuple", padded)
+    monkeypatch.setattr(solvers, "_cover_search", padded)
     # the signed solvers and the tuple minima now err alike; a check that
     # took both sides from the cover engine could miss the mutation
     for g in graphs:
