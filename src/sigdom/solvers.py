@@ -207,7 +207,8 @@ def _cover_search(
     g: Graph, degrees: Sequence[int], demand: Sequence[int], below: int | None = None
 ) -> tuple[list[frozenset[int]], int]:
     """Depth-first branch and bound over covers of ``demand``, given the
-    degrees of ``g``; returns the covers it records and the nodes explored.
+    degrees of ``g``; returns the covers it records and the nodes explored,
+    the first dive's included: two per branching pick, one per forced step.
 
     Every cover has at least max(max demand, ceil(total demand / Delta))
     vertices, so the search stops once the size it must beat meets that.
@@ -355,15 +356,6 @@ def _cover_search(
     return covers, nodes
 
 
-def _solve_ktuple(
-    g: Graph, degrees: Sequence[int], demand: Sequence[int]
-) -> ParameterResult:
-    """Minimum cover of ``demand``.  Its nodes include the first dive, which
-    builds the first cover: two per branching pick, one per forced step."""
-    covers, nodes = _cover_search(g, degrees, demand)
-    return ParameterResult(len(covers[-1]), covers[-1], nodes)
-
-
 # ---------------------------------------------------------------------------
 # Signed parameters as covers
 # ---------------------------------------------------------------------------
@@ -436,8 +428,7 @@ def ktuple_chain(g: Graph, k: int) -> list[ParameterResult]:
     identities, whose notes print every level.  Level k comes first, from
     ktuple_total_domination, so k is checked before any solve."""
     top = ktuple_total_domination(g, k)
-    degrees = g.degrees()
-    return [_solve_ktuple(g, degrees, [level] * g.n) for level in range(1, k)] + [top]
+    return [ktuple_total_domination(g, level) for level in range(1, k)] + [top]
 
 
 def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
@@ -446,7 +437,8 @@ def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
     delta = min(degrees)
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
-    return _solve_ktuple(g, degrees, [k] * g.n)
+    covers, nodes = _cover_search(g, degrees, [k] * g.n)
+    return ParameterResult(len(covers[-1]), covers[-1], nodes)
 
 
 def total_domination(g: Graph) -> ParameterResult:

@@ -483,7 +483,7 @@ CORPUS_500 = (Path(CUBIC).parent / "connected_upto8.g6").read_text().splitlines(
 DEEP_FAILURES = {
     "malformed-line-501": (["verify", "--suite", "all"], CORPUS_500 + ["A!"], 2, 501),
     "isolated-vertex-line-501": (["compute", "--param", "td"], CORPUS_500 + ["A?"], 2, 501),
-    "witness-line-300": (["compute", "--param", "td"], CORPUS_500, 1, 300),
+    "witness-line-300": (["compute", "--param", "td"], CORPUS_500, 3, 300),
 }
 
 
@@ -623,7 +623,7 @@ BAD_C4_WITNESS = {
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
 @pytest.mark.parametrize("param", sorted(BAD_C4_WITNESS))
-def test_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, command, param):
+def test_witness_that_fails_its_recheck_exits_3(capsys, monkeypatch, command, param):
     from sigdom import verification
 
     real = cli._PARAM_SOLVERS[param]
@@ -635,14 +635,15 @@ def test_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, command, pa
     runs = []
     for jobs in ("1", "2"):
         code, out, err = run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], f"C~\n{C4}\n")
-        assert code == 1
-        assert err == f"sigdom: error: <stdin>:2: {param} witness fails its re-check\n"
+        assert code == 3
+        assert err == ("sigdom: error: <stdin>:2: internal error: WitnessError: "
+                       f"{param} witness fails its re-check\n")
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
         runs.append((out, err))
     assert runs[0] == runs[1]
 
 
-def test_lemma42_labelling_that_fails_its_recheck_exits_1(capsys, monkeypatch):
+def test_lemma42_labelling_that_fails_its_recheck_exits_3(capsys, monkeypatch):
     from sigdom import verification
 
     p4 = write_graph6(path_graph(4))
@@ -656,15 +657,16 @@ def test_lemma42_labelling_that_fails_its_recheck_exits_1(capsys, monkeypatch):
     for jobs in ("1", "2"):
         code, out, err = run_cli(
             capsys, monkeypatch, ["verify", "--suite", "lemma42", "--jobs", jobs], f"C~\n{p4}\n")
-        assert code == 1
-        assert err == "sigdom: error: <stdin>:2: istdn witness fails its re-check\n"
+        assert code == 3
+        assert err == ("sigdom: error: <stdin>:2: internal error: WitnessError: "
+                       "istdn witness fails its re-check\n")
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~"]
         runs.append((out, err))
     assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("param", ["istdn", "ktd"])
-def test_regular_identity_witness_that_fails_its_recheck_exits_1(capsys, monkeypatch, param):
+def test_regular_identity_witness_that_fails_its_recheck_exits_3(capsys, monkeypatch, param):
     from sigdom import verification
 
     if param == "istdn":
@@ -682,10 +684,11 @@ def test_regular_identity_witness_that_fails_its_recheck_exits_1(capsys, monkeyp
     for jobs in ("1", "2"):
         code, out, err = run_cli(
             capsys, monkeypatch, ["verify", "--suite", "regular", "--jobs", jobs], f"C~\n{C4}\n")
-        assert code == 1
+        assert code == 3
         # the chain's first level, td, carries the bad witness
         name = "ktd (k=1)" if param == "ktd" else param
-        assert err == f"sigdom: error: <stdin>:2: {name} witness fails its re-check\n"
+        assert err == ("sigdom: error: <stdin>:2: internal error: WitnessError: "
+                       f"{name} witness fails its re-check\n")
         assert [json.loads(line)["graph_id"] for line in out.splitlines()] == ["C~", "C~"]
         runs.append((out, err))
     assert runs[0] == runs[1]
@@ -693,8 +696,8 @@ def test_regular_identity_witness_that_fails_its_recheck_exits_1(capsys, monkeyp
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_an_unexpected_exception_exits_3_at_its_record(capsys, monkeypatch, command):
-    # neither a ValueError nor a WitnessError: a fault of the program, which
-    # must not read as exit 1, a violated relation
+    # not a ValueError: a fault of the program, which must not read as
+    # exit 1, a violated relation
     from sigdom import verification
 
     real = cli._PARAM_SOLVERS["td"]

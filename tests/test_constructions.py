@@ -21,8 +21,9 @@ from sigdom.graphs import (
     path_graph,
     star_graph,
 )
-from sigdom.solvers import is_feasible, istdn
+from sigdom.solvers import is_feasible, istdn, recheck_witness
 from sigdom.trees import free_trees
+from sigdom.verification import evaluate_check
 
 
 def leaves(t: Graph) -> frozenset[int]:
@@ -191,9 +192,12 @@ def test_prescribed_weight_tree_orders():
         assert is_tree(build_prescribed_weight_tree(k))
 
 
-@pytest.mark.parametrize("k", range(-2, 4))
+# every k whose tree fits graph6: n = -9k = 54 at k = -6, n = 3k + 4 = 61 at k = 19
+@pytest.mark.parametrize("k", range(-6, 20))
 def test_prescribed_weight_tree_reaches_value(k):
-    assert istdn(build_prescribed_weight_tree(k)).value == k
+    t = build_prescribed_weight_tree(k)
+    assert recheck_witness(t, "istdn", istdn(t)).value == k
+    assert evaluate_check("t43", t).holds
 
 
 # ---------------------------------------------------------------------------

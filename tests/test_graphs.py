@@ -84,9 +84,9 @@ def test_graph6_malformed_records():
         parse_graph6("   ")
     with pytest.raises(GraphFormatError, match="alphabet"):
         parse_graph6("A!")
-    with pytest.raises(GraphFormatError, match="payload"):
+    with pytest.raises(GraphFormatError, match="payload for n=4 needs 1 bytes, got 0"):
         parse_graph6("C")  # n=4 needs one payload byte
-    with pytest.raises(GraphFormatError, match="payload"):
+    with pytest.raises(GraphFormatError, match="payload for n=2 needs 1 bytes, got 2"):
         parse_graph6("A__")
     with pytest.raises(GraphFormatError, match="padding"):
         parse_graph6("A~")  # n=2 uses 1 bit; the other 5 must be zero
@@ -165,6 +165,11 @@ def test_degree_queries():
     assert is_regular(k23) is None
     s5 = star_graph(5)
     assert (min_degree(s5), max_degree(s5)) == (1, 4)
+    k1 = Graph(1)
+    assert (min_degree(k1), max_degree(k1)) == (0, 0)
+    for degree in (min_degree, max_degree):
+        with pytest.raises(ValueError, match="empty graph has no degrees"):
+            degree(Graph(0))
 
 
 def test_connectivity_and_trees():

@@ -353,9 +353,9 @@ def test_cover_engine_on_arbitrary_demands(case):
     # and exactly the minimum covers, each once, from the enumerating mode
     g, demand = case
     size, minimum_covers = brute_cover(g, demand)
-    res = solvers._solve_ktuple(g, g.degrees(), demand)
-    mask = sum(1 << v for v in res.witness)
-    assert res.value == len(res.witness) == size
+    best = solvers._cover_search(g, g.degrees(), demand)[0][-1]
+    mask = sum(1 << v for v in best)
+    assert len(best) == size
     assert all((a & mask).bit_count() >= d for a, d in zip(g.adj, demand))
     covers, _ = solvers._cover_search(g, g.degrees(), demand, below=size + 1)
     assert len(covers) == len(minimum_covers)
