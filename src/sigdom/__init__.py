@@ -9,7 +9,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     girth,
-    is_bipartite,
     is_connected,
     is_regular,
     is_tree,

@@ -225,15 +225,14 @@ def _batch(fn: Callable, records: list) -> tuple[list, float]:
     return results, time.perf_counter() - start
 
 
-def _pooled(jobs: int, fn: Callable, records: Iterable) -> Iterator:
-    """_located results over the records, in input order, from ``jobs``
-    worker processes, at most one per CPU: a fork pool forks them all at the
-    first submit.  Records are sent as read, one batch at a time, at most two
-    per worker in flight: one record first, then as many as take
-    _BATCH_SECONDS at the seconds per record measured so far.  The pool and
-    its imports wait for the first batch, so empty input starts no process;
-    closing this generator cancels the pending batches."""
-    workers = min(jobs, os.cpu_count() or 1)
+def _pooled(workers: int, fn: Callable, records: Iterable) -> Iterator:
+    """_located results over the records, in input order, from ``workers``
+    worker processes: a fork pool forks them all at the first submit.
+    Records are sent as read, one batch at a time, at most two per worker in
+    flight: one record first, then as many as take _BATCH_SECONDS at the
+    seconds per record measured so far.  The pool and its imports wait for
+    the first batch, so empty input starts no process; closing this
+    generator cancels the pending batches."""
     records, pending, pool = iter(records), collections.deque(), None
     task, size, done, busy = partial(_batch, fn), 1, 0, 0.0
     try:
@@ -256,13 +255,15 @@ def _pooled(jobs: int, fn: Callable, records: Iterable) -> Iterator:
 
 
 def _run(jobs: int, fn: Callable, records: Iterable) -> Iterator:
-    """Yield fn(graph) for each record in input order, computed here for one
-    job and by _pooled otherwise.  The first error record is raised after
-    the results before it; pending work is cancelled."""
+    """Yield fn(graph) for each record in input order, computed by _pooled
+    on one worker per job, at most one per CPU, or here when that is one
+    worker.  The first error record is raised after the results before it;
+    pending work is cancelled."""
     if jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    results = ((_located(fn, r) for r in records) if jobs == 1
-               else _pooled(jobs, fn, records))
+    workers = min(jobs, os.cpu_count() or 1)
+    results = ((_located(fn, r) for r in records) if workers == 1
+               else _pooled(workers, fn, records))
     for result in results:
         if isinstance(result, Exception):
             results.close()

@@ -163,8 +163,8 @@ def build_matched_multipartite(r: int) -> Graph:
 def build_heawood() -> Graph:
     """The 14-vertex cubic bipartite graph of girth 6.
 
-    A 14-cycle plus the chord i -- i+5 (mod 14) for every even i; those
-    properties pin the graph down up to isomorphism.
+    A 14-cycle plus the chord i -- i+5 (mod 14) for every even i.  Order,
+    degree and girth alone pin it down: it is the unique (3,6)-cage.
     """
     edges = [(i, (i + 1) % 14) for i in range(14)]
     edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]

@@ -294,24 +294,6 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for a forest.
 

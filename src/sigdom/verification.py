@@ -39,7 +39,6 @@ from .graphs import (
     Graph,
     clique_number,
     girth,
-    is_bipartite,
     is_connected,
     is_regular,
     min_degree,
@@ -348,15 +347,15 @@ def _regular_bounds(facts: GraphFacts) -> Outcome:
 
 
 def is_heawood_certificate(g: Graph) -> bool:
-    """14 vertices, cubic, bipartite, girth 6 -- uniquely the Heawood graph."""
-    return (
-        g.n == 14 and is_regular(g) == 3 and is_bipartite(g) and girth(g) == 6
-    )
+    """14 vertices, cubic, girth 6 -- uniquely the Heawood graph, which is
+    connected and bipartite: by the Moore bound no cubic graph of girth 6 is
+    smaller, and the Heawood graph is the unique (3,6)-cage (Tutte 1947)."""
+    return g.n == 14 and is_regular(g) == 3 and girth(g) == 6
 
 
 def _cubic(facts: GraphFacts) -> Outcome:
-    """istdn >= -2n/3 for every connected cubic graph except the one
-    14-vertex bipartite girth-6 exception, which is reported, not failed."""
+    """istdn >= -2n/3 for every connected cubic graph except the Heawood
+    graph, which is reported, not failed."""
     if facts.regular_degree != 3:
         return "graph is not cubic"
     if facts.regular_obstacle is not None:

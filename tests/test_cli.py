@@ -505,7 +505,8 @@ def test_jobs_match_serial_on_a_deep_failure(capsys, monkeypatch, case):
     assert len(out.splitlines()) == reports * (line - 1)
 
 
-def test_pool_reads_input_lazily():
+def test_pool_reads_input_lazily(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pulled = 0
 
     def records():
@@ -563,6 +564,7 @@ def test_pool_sends_graphs_without_graph6(capsys, monkeypatch):
 
     # the workers fork after this patch, but count in their own memory
     monkeypatch.setattr(cli, "write_graph6", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, _, _ = run_cli(
         capsys, monkeypatch, ["verify", "--suite", "t43", "--trees-up-to", "9", "--jobs", "2"]
     )
@@ -580,6 +582,22 @@ def test_no_pool_for_one_job_or_empty_input(jobs, stdin):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert ran.stdout.splitlines()[-1] == "False"
+
+
+def test_no_pool_on_one_cpu(capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(max_workers):
+        raise AssertionError("a pool started on one CPU")
+
+    stdin = "".join(write_graph6(cycle_graph(n)) + "\n" for n in (3, 4, 5, 6))
+    for argv in (["compute", "--param", "td"], ["verify", "--suite", "all"]):
+        serial = run_cli(capsys, monkeypatch, [*argv, "--jobs", "1"], stdin)
+        assert serial[0] == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            patched.setattr(os, "cpu_count", lambda: 1)
+            assert run_cli(capsys, monkeypatch, [*argv, "--jobs", "2"], stdin) == serial
 
 
 def test_runtime_loads_only_the_standard_library():
@@ -732,6 +750,7 @@ def test_a_worker_that_dies_exits_3(capsys, monkeypatch):
         return real(g)
 
     monkeypatch.setitem(cli._PARAM_SOLVERS, "td", solve)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, err = run_cli(
         capsys, monkeypatch, ["compute", "--param", "td", "--jobs", "2"], f"C~\n{C4}\n")
     assert code == 3

@@ -13,7 +13,6 @@ from sigdom.graphs import (
     complete_graph,
     cycle_graph,
     girth,
-    is_bipartite,
     is_connected,
     is_regular,
     is_tree,
@@ -180,13 +179,12 @@ def test_connectivity_and_trees():
     assert is_connected(Graph(1))
 
 
-def test_bipartite_and_girth():
-    assert girth(cycle_graph(5)) == 5 and not is_bipartite(cycle_graph(5))
-    assert girth(cycle_graph(6)) == 6 and is_bipartite(cycle_graph(6))
+def test_girth():
+    assert girth(cycle_graph(5)) == 5
+    assert girth(cycle_graph(6)) == 6
     assert girth(complete_graph(4)) == 3
     assert girth(path_graph(5)) is None
     assert girth(complete_bipartite_graph(3, 3)) == 4
-    assert is_bipartite(star_graph(7))
 
 
 def test_clique_number_examples():

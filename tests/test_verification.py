@@ -1,6 +1,7 @@
 import decimal
 import functools
 import json
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -169,6 +170,19 @@ def test_heawood_certificate():
         [(i, (i + 1) % 14) for i in range(14)] + [(i, i + 7) for i in range(7)],
     )
     assert not is_heawood_certificate(moebius)
+    # GP(7,2): cubic on 14 vertices, girth 5, not bipartite -- an outer
+    # 7-cycle, spokes, and an inner cycle in steps of 2
+    petersen_7_2 = Graph(
+        14,
+        [(i, (i + 1) % 7) for i in range(7)]
+        + [(i, i + 7) for i in range(7)]
+        + [(i + 7, (i + 2) % 7 + 7) for i in range(7)],
+    )
+    assert not is_heawood_certificate(petersen_7_2)
+    # the certificate reads no labels
+    heawood = build_heawood()
+    relabelled = _relabel(heawood, random.Random(24).sample(range(14), 14))
+    assert relabelled != heawood and is_heawood_certificate(relabelled)
 
 
 def test_cubic_floor_examples():
