@@ -21,21 +21,18 @@ from .graphs import Graph, is_tree
 class TreeStructure(NamedTuple):
     """Support vertices and per-support leaf groups of a tree.
 
-    ``support_degree`` is the maximum degree of the subgraph induced on the
-    supports; ``outsiders`` are the vertices that are neither leaves nor
-    supports.
+    ``tree`` is the tree itself; ``supports`` are its support vertices in
+    increasing order; ``leaf_groups`` maps each support v to its leaf group
+    L_v, with keys in ``supports`` order; ``support_degree`` is the maximum
+    degree of the subgraph induced on the supports; ``outsiders`` are the
+    vertices that are neither leaves nor supports.
     """
 
     tree: Graph
     supports: tuple[int, ...]
     leaf_groups: dict[int, frozenset[int]]
-    leaf_counts: tuple[int, ...]
     support_degree: int
     outsiders: frozenset[int]
-
-    @property
-    def n(self) -> int:
-        return self.tree.n
 
 
 def tree_structure(t: Graph) -> TreeStructure:
@@ -50,15 +47,14 @@ def tree_structure(t: Graph) -> TreeStructure:
     groups = {
         v: frozenset(u for u in t.neighbors(v) if u in leaves) for v in supports
     }
-    counts = tuple(len(groups[v]) for v in supports)
     support_degree = max((t.adj[v] & support_mask).bit_count() for v in supports)
     outsiders = frozenset(range(t.n)) - leaves - set(supports)
-    return TreeStructure(t, supports, groups, counts, support_degree, outsiders)
+    return TreeStructure(t, supports, groups, support_degree, outsiders)
 
 
 def leaf_floor(ts: TreeStructure) -> int:
     """The lower bound -n + 2 * sum_i floor(l_i / 2) from the leaf groups."""
-    return -ts.n + 2 * sum(c // 2 for c in ts.leaf_counts)
+    return -ts.tree.n + 2 * sum(len(group) // 2 for group in ts.leaf_groups.values())
 
 
 def floor_family_membership(ts: TreeStructure) -> tuple[bool, str]:
@@ -76,14 +72,14 @@ def floor_family_membership(ts: TreeStructure) -> tuple[bool, str]:
 
     Returns (member, reason); on failure the reason names the clause.
     """
-    if ts.n == 2:
+    if ts.tree.n == 2:
         return True, "two-vertex path admitted by clause (a)"
-    small = [v for v, c in zip(ts.supports, ts.leaf_counts) if c < 2]
+    small = [v for v, group in ts.leaf_groups.items() if len(group) < 2]
     if small:
         return False, f"fails (a): support {small[0]} has fewer than 2 leaves"
     if ts.support_degree > 1:
         return False, "fails (b): two supports share a support neighbour"
-    odd = [v for v, c in zip(ts.supports, ts.leaf_counts) if c % 2]
+    odd = [v for v, group in ts.leaf_groups.items() if len(group) % 2]
     if ts.support_degree == 1:
         if ts.outsiders:
             return False, "fails (b1): vertex that is neither leaf nor support"

@@ -70,9 +70,6 @@ class Graph:
             for v in _iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def vertex_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -287,7 +284,7 @@ def is_connected(g: Graph) -> bool:
             reach |= g.adj[v]
         frontier = reach & ~seen
         seen |= frontier
-    return seen == g.vertex_mask()
+    return seen == (1 << g.n) - 1
 
 
 def is_tree(g: Graph) -> bool:
@@ -353,7 +350,7 @@ def clique_number(g: Graph) -> int:
     """Size of a maximum clique, by branch-and-bound with a colouring bound."""
     if g.n == 0:
         return 0
-    return _expand_clique(g.adj, 0, g.vertex_mask(), 1)
+    return _expand_clique(g.adj, 0, (1 << g.n) - 1, 1)
 
 
 def _expand_clique(adj: tuple[int, ...], size: int, candidates: int, best: int) -> int:

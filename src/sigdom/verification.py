@@ -100,57 +100,39 @@ class CheckReport(NamedTuple):
                 f'"notes": {_json_string(self.notes)}}}')
 
 
-class _Counts:
-    """One check's tallies, counted up in place."""
-
-    def __init__(self) -> None:
-        self.passed = self.failed = self.sharp = self.inapplicable = 0
-
-
 class SuiteSummary:
-    """Per-check counters plus the list of genuine violations."""
+    """Per-check counters plus the list of genuine violations, held as the
+    dicts the summary line prints."""
 
     def __init__(self) -> None:
-        self.counts: dict[str, _Counts] = {}
-        self.failures: list[tuple[str, str]] = []
+        self.counts: dict[str, dict[str, int]] = {}
+        self.failures: list[dict[str, str]] = []
 
     def add(self, report: CheckReport) -> None:
         c = self.counts.get(report.check_id)
         if c is None:
-            c = self.counts[report.check_id] = _Counts()
+            c = self.counts[report.check_id] = {
+                "passed": 0, "failed": 0, "sharp": 0, "inapplicable": 0}
         if not report.applicable:
-            c.inapplicable += 1
+            c["inapplicable"] += 1
             return
         if report.holds:
-            c.passed += 1
+            c["passed"] += 1
             if report.sharp:
-                c.sharp += 1
+                c["sharp"] += 1
         else:
-            c.failed += 1
-            self.failures.append((report.check_id, report.graph_id))
+            c["failed"] += 1
+            self.failures.append({"check_id": report.check_id, "graph_id": report.graph_id})
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "summary": {
-                    cid: {
-                        "passed": c.passed,
-                        "failed": c.failed,
-                        "sharp": c.sharp,
-                        "inapplicable": c.inapplicable,
-                    }
-                    for cid, c in sorted(self.counts.items())
-                },
-                "failures": [
-                    {"check_id": cid, "graph_id": gid}
-                    for cid, gid in sorted(self.failures, key=lambda f: (f[1], f[0]))
-                ],
-            }
-        )
+        return json.dumps({
+            "summary": dict(sorted(self.counts.items())),
+            "failures": sorted(self.failures, key=lambda f: (f["graph_id"], f["check_id"])),
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +360,8 @@ def _lemma42(facts: GraphFacts) -> Outcome:
     best = None  # (shortfall, the optimum that has it)
     for f in enumerate_maximum_istdfs(facts.graph, optimum=facts.istdn.value):
         shortfall = min(
-            sum(1 for u in ts.leaf_groups[v] if f[u] == 1) - c // 2
-            for v, c in zip(ts.supports, ts.leaf_counts)
+            sum(1 for u in group if f[u] == 1) - len(group) // 2
+            for group in ts.leaf_groups.values()
         )
         if best is None or shortfall > best[0]:
             best = shortfall, f

@@ -92,6 +92,11 @@ def test_construct_bad_family(capsys, monkeypatch):
     assert code == 2 and "cycle" in err
     code, _, err = run_cli(capsys, monkeypatch, ["construct", "--family", "hr", "1"])
     assert code == 2
+    code, out, err = run_cli(capsys, monkeypatch, ["construct", "--family", "cycle", "x"])
+    assert (code, out) == (2, "")
+    assert err.startswith("sigdom: error: family parameters must be integers: ")
+    code, out, err = run_cli(capsys, monkeypatch, ["construct", "--family", "cycle", "4", "5"])
+    assert (code, out, err) == (2, "", "sigdom: error: family cycle takes 1 parameter(s)\n")
     # refused from the parameters alone, before anything is built
     for family in (["cycle", "1000000"], ["hr", "100"]):
         code, out, err = run_cli(capsys, monkeypatch, ["construct", "--family", *family])
@@ -420,6 +425,12 @@ CONTRACT_CASES = {
         ["verify", "--suite", "t22", "--format", "edgelist"], "x\n", "<stdin>"
     ),
     "edgelist-empty": (["compute", "--param", "td", "--format", "edgelist"], "", "<stdin>"),
+    "edgelist-negative-count": (
+        ["compute", "--param", "td", "--format", "edgelist"], "-1\n", "<stdin>"
+    ),
+    "edgelist-bad-endpoint": (
+        ["verify", "--suite", "t22", "--format", "edgelist"], "2 0 x\n", "<stdin>"
+    ),
     # refused before a graph is allocated: 10**9 vertices would need ~16 GB
     "edgelist-count-above-graph6": (
         ["compute", "--param", "td", "--format", "edgelist"], f"{10**9}\n", "<stdin>"
@@ -463,6 +474,34 @@ def test_closed_stdin_and_empty_input_name_exit_2(capsys, monkeypatch, command, 
         assert cli.main([*argv, "--input", ""]) == 2
         assert capsys.readouterr() == (
             "", "sigdom: error: --input needs a file name, got ''\n")
+
+
+@pytest.mark.parametrize("stdin", ["", "A_\n"])
+@pytest.mark.parametrize("command", [["compute", "--param", "td"], ["verify", "--suite", "all"]])
+def test_jobs_below_one_exits_2(capsys, monkeypatch, command, stdin):
+    code, out, err = run_cli(capsys, monkeypatch, [*command, "--jobs", "0"], stdin)
+    assert (code, out, err) == (2, "", "sigdom: error: --jobs must be >= 1\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "heawood"],
+    ["compute", "--param", "td", "--jobs", "2"],
+    ["verify", "--suite", "all", "--jobs", "1"],
+    ["verify", "--suite", "all", "--jobs", "2"],
+])
+def test_a_closed_stdout_exits_0(capsys, monkeypatch, argv):
+    stdin = "".join(g6 + "\n" for g6 in CORPUS_500[:20])
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_error_after_good_records_keeps_their_output(capsys, monkeypatch):

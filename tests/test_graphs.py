@@ -43,6 +43,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="range"):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1)
 
 
 def test_graph6_known_encodings():

@@ -258,8 +258,13 @@ def test_enumerate_maximum_istdfs_examples():
 
 def test_enumerate_matches_brute_count():
     rng = random.Random(29)
-    for _ in range(15):
-        g = random_connected_graph(rng, 2, 8)
+    drawn = [random_connected_graph(rng, 2, 8) for _ in range(15)]
+    # no drawn graph has twins (equal open neighbourhoods); each of these
+    # does, so an enumeration that keeps one optimum per twin class fails
+    double_star = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+    twinned = [cycle_graph(4), complete_bipartite_graph(2, 3), star_graph(5), double_star]
+    assert all(len(set(g.adj)) < g.n for g in twinned)
+    for g in drawn + twinned:
         value, count = brute_signed(g, "le", 0, True)
         fs = enumerate_maximum_istdfs(g)
         assert len(fs) == count

@@ -286,6 +286,7 @@ INAPPLICABLE = [
     ("lemma42", cycle_graph(5), "not a tree on >= 2 vertices"),
     ("t43", cycle_graph(5), "not a tree on >= 2 vertices"),
     ("lemma42", path_graph(15), "order above enumeration cap 14"),
+    ("t22", Graph(1, []), "isolated vertex"),
 ]
 
 
@@ -316,8 +317,8 @@ def test_run_suite_on_trees():
     )
     assert summary.ok
     n_trees = 1 + 1 + 2 + 3 + 6 + 11 + 23
-    assert summary.counts["t43"].passed == n_trees
-    assert summary.counts["lemma42"].passed == n_trees
+    assert summary.counts["t43"]["passed"] == n_trees
+    assert summary.counts["lemma42"]["passed"] == n_trees
     assert len(reports) == 2 * n_trees
 
 
@@ -377,7 +378,7 @@ def test_run_suite_sharp_on_complete_and_cycles():
     corpus += [cycle_graph(n) for n in range(3, 17)]
     summary = run_suite(corpus, ["t22"])
     assert summary.ok
-    assert summary.counts["t22"].sharp == len(corpus)
+    assert summary.counts["t22"]["sharp"] == len(corpus)
 
 
 def test_run_suite_empty_and_unknown():
@@ -393,6 +394,13 @@ def test_run_suite_reads_check_ids_once():
     summary = run_suite(corpus, ids)
     assert sorted(summary.counts) == ids
     assert run_suite(corpus, (cid for cid in ids)).json_line() == summary.json_line()
+
+
+def test_tallies_are_the_printed_summary():
+    corpus = [cycle_graph(n) for n in range(3, 7)] + [complete_graph(4)]
+    summary = run_suite(corpus, CHECK_IDS)
+    assert summary.counts == json.loads(summary.json_line())["summary"]
+    assert SuiteSummary().json_line() == '{"summary": {}, "failures": []}'
 
 
 def test_suite_summary_failure_ordering():
