@@ -29,6 +29,9 @@ which meets the most outstanding demand.  A branch dies once its picks
 plus ceil(outstanding demand / largest undecided degree) reach the best
 cover known.  The search needs no seed: its first dive builds the first
 cover, and it stops once a cover meets its own lower bound on the minimum.
+Listing the istdn optima, it branches on the lowest vertex that can still
+meet some demand instead, so it visits them in the sorted order of their
+labellings, and a caller stops it at the first one it needs.
 
 ``optimize_signed`` is kept as an independent search over the labellings
 themselves.  On an r-regular graph the signed demands are constant, so the
@@ -45,7 +48,7 @@ garbage collector.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from .graphs import Graph
@@ -204,11 +207,17 @@ def optimize_signed(g: Graph, param: str) -> ParameterResult:
 
 
 def _cover_search(
-    g: Graph, degrees: Sequence[int], demand: Sequence[int], below: int | None = None
+    g: Graph,
+    degrees: Sequence[int],
+    demand: Sequence[int],
+    below: int | None = None,
+    visit: Callable[[frozenset[int]], object] | None = None,
 ) -> tuple[list[frozenset[int]], int]:
     """Depth-first branch and bound over covers of ``demand``, given the
     degrees of ``g``; returns the covers it records and the nodes explored,
     the first dive's included: two per branching pick, one per forced step.
+    ``visit``, when given, receives each cover as it is recorded, and the
+    search stops as soon as it returns true.
 
     Every cover has at least max(max demand, ceil(total demand / Delta))
     vertices, so the search stops once the size it must beat meets that.
@@ -230,6 +239,17 @@ def _cover_search(
     branches on its undecided neighbour with the most hungry neighbours
     (lowest index on ties): take it, or rule it out.  Every slack is then at
     least 1, so ruling out never leaves a vertex that cannot be covered.
+
+    With ``below`` the search visits covers in labelling order instead, the
+    sorted order of their labellings with -1 on the cover: it branches on
+    the lowest undecided vertex with a hungry neighbour, and takes it
+    first.  With ``below`` one above the minimum, no cover it records holds
+    a lower undecided vertex.  Such a vertex has no hungry neighbour, and
+    never gains one, as the hungry vertices only shrink below a node; a
+    cover holding it would cover without it, so it is not minimum.  So the
+    covers below a node agree on every vertex under the branch vertex, and
+    those that hold the branch vertex come first.  A forced step keeps the
+    order, as every cover below its node holds all that it takes.
 
     Pruning: a node dies when the picks it already holds plus the picks its
     outstanding demand still needs reach the size to beat.  One pick settles
@@ -275,6 +295,8 @@ def _cover_search(
                 best = len(chosen)
                 covers.clear()
             covers.append(frozenset(chosen))
+            if visit is not None and visit(covers[-1]):
+                best = lower  # every open node returns at its next check
             return
         for reach, mask in reach_classes:
             if mask & undecided:
@@ -287,7 +309,7 @@ def _cover_search(
             if len(chosen) + take.bit_count() >= best:
                 return
             nodes += 1
-        else:
+        elif below is None:
             # every slack is >= 1 here; the least, lowest index first
             least = len(adj)
             rest = hungry
@@ -307,6 +329,16 @@ def _cover_search(
                 c = (adj[low.bit_length() - 1] & hungry).bit_count()
                 if c > most:
                     most, take = c, low
+            nodes += 2  # one per branch
+        else:
+            # the lowest undecided vertex with a hungry neighbour; each
+            # hungry vertex has an undecided neighbour, as its slack is >= 1
+            rest = undecided
+            while True:
+                take = rest & -rest
+                if adj[take.bit_length() - 1] & hungry:
+                    break
+                rest ^= take
             nodes += 2  # one per branch
         if nodes > budget:
             raise ValueError(f"cover search passed the {budget}-node budget")
@@ -399,14 +431,20 @@ def st2in(g: Graph) -> ParameterResult:
     return _signed_cover(g, "st2in")
 
 
-def enumerate_maximum_istdfs(
-    g: Graph, optimum: int | None = None
-) -> list[tuple[int, ...]]:
-    """All labellings achieving istdn(g), sorted.
+def scan_maximum_istdfs(
+    g: Graph,
+    visit: Callable[[frozenset[int]], object] | None,
+    optimum: int | None = None,
+) -> list[frozenset[int]]:
+    """The minus sets of the labellings achieving istdn(g), in the sorted
+    order of the labellings, up to the first that ``visit`` returns true
+    on (all of them when ``visit`` is None); ``visit`` receives each as it
+    is found.
 
-    These are the minimum covers of the istdn demand, found by the cover
-    search with its bound pinned one above the minimum minus-set size.
-    ``optimum``, when given, must be istdn(g); it spares the solve.
+    These are the minimum covers of the istdn demand, which the cover
+    search visits in labelling order when its bound is pinned one above
+    the minimum minus-set size.  ``optimum``, when given, must be
+    istdn(g); it spares the solve.
     """
     degrees = _require_positive_min_degree(g)
     _, demand = _signed_demand(degrees, "istdn")
@@ -414,8 +452,15 @@ def enumerate_maximum_istdfs(
         size = len(_cover_search(g, degrees, demand)[0][-1])
     else:
         size = (g.n - optimum) // 2
-    covers, _ = _cover_search(g, degrees, demand, below=size + 1)
-    return sorted(_labelling(g.n, m, -1) for m in covers)
+    return _cover_search(g, degrees, demand, below=size + 1, visit=visit)[0]
+
+
+def enumerate_maximum_istdfs(
+    g: Graph, optimum: int | None = None
+) -> list[tuple[int, ...]]:
+    """All labellings achieving istdn(g), sorted, as the cover search
+    visits them; ``optimum`` is as in ``scan_maximum_istdfs``."""
+    return [_labelling(g.n, m, -1) for m in scan_maximum_istdfs(g, None, optimum)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ from .graphs import (
 )
 from .solvers import (
     ParameterResult,
-    enumerate_maximum_istdfs,
     istdn,
     ktuple_chain,
     optimize_signed,
     recheck_witness,
+    scan_maximum_istdfs,
     total_domination,
 )
 
@@ -351,24 +351,35 @@ def _cubic(facts: GraphFacts) -> Outcome:
 
 def _lemma42(facts: GraphFacts) -> Outcome:
     """Some maximum inverse-signed labelling gives +1 to at least
-    floor(l_i/2) leaves of every support vertex."""
+    floor(l_i/2) leaves of every support vertex.
+
+    The shortfall of an optimum is the least surplus of its +1 leaves over
+    half the group size, over the supports.  The scan visits the optima in
+    labelling order, keeps the first with the largest shortfall seen, and
+    stops at the first whose shortfall is >= 0; only the optimum it keeps
+    becomes a labelling, for the re-check.
+    """
     if not facts.tree:
         return "not a tree on >= 2 vertices"
     if facts.graph.n > LEAF_CONDITION_ORDER_CAP:
         return f"order above enumeration cap {LEAF_CONDITION_ORDER_CAP}"
-    ts = facts.tree_structure
-    best = None  # (shortfall, the optimum that has it)
-    for f in enumerate_maximum_istdfs(facts.graph, optimum=facts.istdn.value):
+    groups = facts.tree_structure.leaf_groups.values()
+    best = None  # (shortfall, the minus set of the optimum that has it)
+
+    def visit(minus: frozenset[int]) -> bool:
+        nonlocal best
         shortfall = min(
-            sum(1 for u in group if f[u] == 1) - len(group) // 2
-            for group in ts.leaf_groups.values()
+            sum(1 for u in group if u not in minus) - len(group) // 2
+            for group in groups
         )
         if best is None or shortfall > best[0]:
-            best = shortfall, f
-        if best[0] >= 0:
-            break
+            best = shortfall, minus
+        return best[0] >= 0
+
+    scan_maximum_istdfs(facts.graph, visit, optimum=facts.istdn.value)
     assert best is not None
-    shortfall, optimum = best
+    shortfall, minus = best
+    optimum = tuple(-1 if v in minus else 1 for v in range(facts.graph.n))
     recheck_witness(facts.graph, "istdn", ParameterResult(facts.istdn.value, optimum, 0))
     return (shortfall, 0, shortfall >= 0, shortfall == 0,
             "max-min surplus of +1 leaves over half the group size")

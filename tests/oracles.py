@@ -63,6 +63,36 @@ def brute_ktuple(g: Graph, k: int) -> int:
     return brute_cover(g, [k] * g.n)[0]
 
 
+def brute_lemma42(g: Graph) -> tuple[int, tuple[int, ...], int]:
+    """lemma42's scan on a tree, from every minimum cover of the istdn
+    demand ceil(deg v / 2): (shortfall, the optimum it keeps, the optima
+    it read).
+
+    The optima are the labellings with -1 on such a cover, sorted.  An
+    optimum's shortfall is the least, over supports, of its +1 leaves minus
+    half the support's leaves.  The scan keeps the first optimum with the
+    largest shortfall seen and stops at the first whose shortfall is >= 0,
+    so the result depends on vertex labels, as lemma42's does.
+    """
+    n = g.n
+    _, covers = brute_cover(g, [(d + 1) // 2 for d in g.degrees()])
+    optima = sorted(tuple(-1 if v in c else 1 for v in range(n)) for c in covers)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        if g.degree(v) == 1:
+            groups.setdefault(next(iter(g.neighbors(v))), []).append(v)
+    best = None
+    for read, f in enumerate(optima, 1):
+        shortfall = min(
+            sum(1 for u in group if f[u] == 1) - len(group) // 2 for group in groups.values()
+        )
+        if best is None or shortfall > best[0]:
+            best = shortfall, f
+        if best[0] >= 0:
+            break
+    return (*best, read)
+
+
 def brute_clique(g: Graph) -> int:
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):

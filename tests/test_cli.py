@@ -704,12 +704,18 @@ def test_lemma42_labelling_that_fails_its_recheck_exits_3(capsys, monkeypatch):
     from sigdom import verification
 
     p4 = write_graph6(path_graph(4))
-    # weight 0 = istdn(P4), but N(0) = {1} sums to 1 > 0
-    bad = (-1, 1, 1, -1)
-    real = verification.enumerate_maximum_istdfs
-    enumerate_optima = lambda g, optimum=None: (
-        [bad] if write_graph6(g) == p4 else real(g, optimum))
-    monkeypatch.setattr(verification, "enumerate_maximum_istdfs", enumerate_optima)
+    # the minus set of (-1, 1, 1, -1): weight 0 = istdn(P4), but
+    # N(0) = {1} sums to 1 > 0
+    bad = frozenset({0, 3})
+    real = verification.scan_maximum_istdfs
+
+    def scan_optima(g, visit, optimum=None):
+        if write_graph6(g) != p4:
+            return real(g, visit, optimum)
+        visit(bad)
+        return [bad]
+
+    monkeypatch.setattr(verification, "scan_maximum_istdfs", scan_optima)
     runs = []
     for jobs in ("1", "2"):
         code, out, err = run_cli(

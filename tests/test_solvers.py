@@ -365,6 +365,15 @@ def test_cover_engine_on_arbitrary_demands(case):
     covers, _ = solvers._cover_search(g, g.degrees(), demand, below=size + 1)
     assert len(covers) == len(minimum_covers)
     assert set(covers) == minimum_covers
+    # in labelling order, -1 on the cover: a visitor that stops at once
+    # receives the labelling-first minimum cover, and nothing after it
+    labelling = lambda c: tuple(-1 if v in c else 1 for v in range(g.n))
+    assert covers == sorted(covers, key=labelling)
+    first = min(minimum_covers, key=labelling)
+    visited = []
+    stop = lambda c: visited.append(c) or True
+    assert solvers._cover_search(g, g.degrees(), demand, below=size + 1, visit=stop)[0] == [first]
+    assert visited == [first]
 
 
 def test_cover_engine_without_demand_or_edges():

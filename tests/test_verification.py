@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigdom import solvers
+from sigdom import solvers, verification
 from sigdom.constructions import build_heawood, build_matched_multipartite
 from sigdom.graphs import (
     Graph,
@@ -29,6 +29,8 @@ from sigdom.verification import (
     run_suite,
 )
 from sigdom.trees import free_trees
+
+from oracles import brute_lemma42
 
 
 def test_t22_examples():
@@ -371,6 +373,35 @@ def test_lemma42_does_not_depend_on_vertex_labels():
     h = _relabel(g, (1, 2, 0, 3, 4, 5))
     assert write_graph6(h) == "E[CG"
     assert _numbers(evaluate_check("lemma42", g)) == _numbers(evaluate_check("lemma42", h))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lemma42_is_its_brute_force_scan(monkeypatch, seed):
+    # the exact semantics, label dependence included: the same numbers and
+    # the same re-checked optimum as scanning every sorted minimum cover,
+    # on relabelled trees where some first optimum falls short
+    rechecked = []
+    real = verification.recheck_witness
+
+    def spy(g, param, result, k=1):
+        rechecked.append(result.witness)
+        return real(g, param, result, k)
+
+    monkeypatch.setattr(verification, "recheck_witness", spy)
+    rng = random.Random(seed)
+    past_first = 0
+    for n in range(2, 11):
+        for t in free_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = _relabel(t, perm)
+            shortfall, optimum, read = brute_lemma42(g)
+            rep = evaluate_check("lemma42", g)
+            assert (rep.lhs, rep.holds, rep.sharp) == (shortfall, shortfall >= 0, shortfall == 0)
+            # the istdn fact is re-checked first, lemma42's optimum last
+            assert rechecked[-1] == optimum, write_graph6(g)
+            past_first += read > 1
+    assert past_first == {1: 5, 2: 9}[seed]
 
 
 def test_run_suite_sharp_on_complete_and_cycles():
