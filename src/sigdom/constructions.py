@@ -19,20 +19,19 @@ from .graphs import Graph, is_tree
 
 
 class TreeStructure(NamedTuple):
-    """Support vertices and per-support leaf groups of a tree.
+    """Support vertices and per-support leaf groups of a tree, as vertex masks.
 
-    ``tree`` is the tree itself; ``supports`` are its support vertices in
-    increasing order; ``leaf_groups`` maps each support v to its leaf group
-    L_v, with keys in ``supports`` order; ``support_degree`` is the maximum
-    degree of the subgraph induced on the supports; ``outsiders`` are the
-    vertices that are neither leaves nor supports.
+    ``tree`` is the tree itself; ``leaf_groups`` maps each support vertex
+    v, in increasing order, to the mask of its leaf group L_v;
+    ``support_degree`` is the maximum degree of the subgraph induced on the
+    supports; ``outsiders`` is the mask of the vertices that are neither
+    leaves nor supports.
     """
 
     tree: Graph
-    supports: tuple[int, ...]
-    leaf_groups: dict[int, frozenset[int]]
+    leaf_groups: dict[int, int]
     support_degree: int
-    outsiders: frozenset[int]
+    outsiders: int
 
 
 def tree_structure(t: Graph) -> TreeStructure:
@@ -40,21 +39,17 @@ def tree_structure(t: Graph) -> TreeStructure:
     L_v of each, and the maximum degree of the subgraph induced on S."""
     if t.n < 2 or not is_tree(t):
         raise ValueError("input must be a tree on at least 2 vertices")
-    leaves = frozenset(v for v in range(t.n) if t.degree(v) == 1)
-    leaf_mask = sum(1 << v for v in leaves)
-    supports = tuple(v for v in range(t.n) if t.adj[v] & leaf_mask)
-    support_mask = sum(1 << v for v in supports)
-    groups = {
-        v: frozenset(u for u in t.neighbors(v) if u in leaves) for v in supports
-    }
-    support_degree = max((t.adj[v] & support_mask).bit_count() for v in supports)
-    outsiders = frozenset(range(t.n)) - leaves - set(supports)
-    return TreeStructure(t, supports, groups, support_degree, outsiders)
+    leaves = sum(1 << v for v in range(t.n) if t.degree(v) == 1)
+    groups = {v: a & leaves for v, a in enumerate(t.adj) if a & leaves}
+    supports = sum(1 << v for v in groups)
+    support_degree = max((t.adj[v] & supports).bit_count() for v in groups)
+    outsiders = ((1 << t.n) - 1) & ~supports & ~leaves
+    return TreeStructure(t, groups, support_degree, outsiders)
 
 
 def leaf_floor(ts: TreeStructure) -> int:
     """The lower bound -n + 2 * sum_i floor(l_i / 2) from the leaf groups."""
-    return -ts.tree.n + 2 * sum(len(group) // 2 for group in ts.leaf_groups.values())
+    return -ts.tree.n + 2 * sum(group.bit_count() // 2 for group in ts.leaf_groups.values())
 
 
 def floor_family_membership(ts: TreeStructure) -> tuple[bool, str]:
@@ -74,29 +69,30 @@ def floor_family_membership(ts: TreeStructure) -> tuple[bool, str]:
     """
     if ts.tree.n == 2:
         return True, "two-vertex path admitted by clause (a)"
-    small = [v for v, group in ts.leaf_groups.items() if len(group) < 2]
+    small = [v for v, group in ts.leaf_groups.items() if group.bit_count() < 2]
     if small:
         return False, f"fails (a): support {small[0]} has fewer than 2 leaves"
     if ts.support_degree > 1:
         return False, "fails (b): two supports share a support neighbour"
-    odd = [v for v, group in ts.leaf_groups.items() if len(group) % 2]
+    odd = [v for v, group in ts.leaf_groups.items() if group.bit_count() % 2]
     if ts.support_degree == 1:
         if ts.outsiders:
             return False, "fails (b1): vertex that is neither leaf nor support"
         if odd:
             return False, f"fails (b1): support {odd[0]} has an odd leaf group"
         return True, "adjacent support pair with even leaf groups (b1)"
-    if len(ts.supports) == 1:
+    if len(ts.leaf_groups) == 1:
         return True, "star (b2.i)"
-    support_set = set(ts.supports)
-    for v in ts.supports:
-        out_nbrs = sum(1 for u in ts.tree.neighbors(v) if u in ts.outsiders)
+    adj = ts.tree.adj
+    for v in ts.leaf_groups:
+        out_nbrs = (adj[v] & ts.outsiders).bit_count()
         if out_nbrs != 1:
             return False, (
                 f"fails (b2.ii): support {v} touches {out_nbrs} outsiders"
             )
-    for u in ts.outsiders:
-        if not any(w in support_set for w in ts.tree.neighbors(u)):
+    supports = sum(1 << v for v in ts.leaf_groups)
+    for u in range(ts.tree.n):
+        if ts.outsiders >> u & 1 and not adj[u] & supports:
             return False, f"fails (b2.ii): outsider {u} has no support neighbour"
     if odd:
         return False, f"fails (b2.ii): support {odd[0]} has an odd leaf group"

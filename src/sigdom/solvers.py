@@ -211,13 +211,13 @@ def _cover_search(
     degrees: Sequence[int],
     demand: Sequence[int],
     below: int | None = None,
-    visit: Callable[[frozenset[int]], object] | None = None,
-) -> tuple[list[frozenset[int]], int]:
+    visit: Callable[[int], object] | None = None,
+) -> tuple[list[int], int]:
     """Depth-first branch and bound over covers of ``demand``, given the
-    degrees of ``g``; returns the covers it records and the nodes explored,
-    the first dive's included: two per branching pick, one per forced step.
-    ``visit``, when given, receives each cover as it is recorded, and the
-    search stops as soon as it returns true.
+    degrees of ``g``; returns the covers it records, each a vertex mask, and
+    the nodes explored, the first dive's included: two per branching pick,
+    one per forced step.  ``visit``, when given, receives each cover as it
+    is recorded, and the search stops as soon as it returns true.
 
     Every cover has at least max(max demand, ceil(total demand / Delta))
     vertices, so the search stops once the size it must beat meets that.
@@ -257,9 +257,10 @@ def _cover_search(
     one vertex mask per degree class.  A forced step also dies when its
     picks alone would reach the size to beat.
 
-    The undecided, hungry and tight vertices are bitmasks passed down the
-    recursion; the demand left and the slack of each vertex are integer
-    arrays changed in place and restored on the way back.
+    The picked, undecided, hungry and tight vertices are bitmasks passed
+    down the recursion, with the number picked; the demand left and the
+    slack of each vertex are integer arrays changed in place and restored
+    on the way back.
     """
     adj = g.adj
     need = list(demand)  # demand left; taking a neighbour lowers it
@@ -280,33 +281,33 @@ def _cover_search(
     reach_classes = sorted(classes.items(), reverse=True)
     best = len(adj) + 1 if below is None else below
     lower = outstanding and max(max(need), -(-outstanding // reach_classes[0][0]))
-    chosen: list[int] = []
-    covers: list[frozenset[int]] = []
+    covers: list[int] = []
     nodes = 0
     budget = SEARCH_NODE_BUDGET
 
-    def dfs(undecided: int, hungry: int, tight: int, outstanding: int) -> None:
+    def dfs(undecided: int, hungry: int, tight: int, outstanding: int,
+            picked: int, size: int) -> None:
         nonlocal best, nodes
         if best == lower:
             return
         if not hungry:
             # the pruning keeps every cover reached smaller than best
             if below is None:
-                best = len(chosen)
+                best = size
                 covers.clear()
-            covers.append(frozenset(chosen))
-            if visit is not None and visit(covers[-1]):
+            covers.append(picked)
+            if visit is not None and visit(picked):
                 best = lower  # every open node returns at its next check
             return
         for reach, mask in reach_classes:
             if mask & undecided:
                 break
-        if len(chosen) + (outstanding + reach - 1) // reach >= best:
+        if size + (outstanding + reach - 1) // reach >= best:
             return
         if tight:
             # forced: every undecided neighbour of a tight vertex
             take = adj[(tight & -tight).bit_length() - 1] & undecided
-            if len(chosen) + take.bit_count() >= best:
+            if size + take.bit_count() >= best:
                 return
             nodes += 1
         elif below is None:
@@ -342,7 +343,6 @@ def _cover_search(
             nodes += 2  # one per branch
         if nodes > budget:
             raise ValueError(f"cover search passed the {budget}-node budget")
-        size = len(chosen)
         settled = []
         left = hungry
         rest = take
@@ -350,7 +350,6 @@ def _cover_search(
             low = rest & -rest
             rest ^= low
             u = low.bit_length() - 1
-            chosen.append(u)
             hit = adj[u] & left
             while hit:
                 low = hit & -hit
@@ -361,8 +360,8 @@ def _cover_search(
                 if not need[w]:
                     left ^= low
         # each settled entry is one unit of demand met
-        dfs(undecided ^ take, left, tight & left, outstanding - len(settled))
-        del chosen[size:]
+        dfs(undecided ^ take, left, tight & left, outstanding - len(settled),
+            picked | take, size + take.bit_count())
         for w in settled:
             need[w] += 1
         if tight:
@@ -376,14 +375,14 @@ def _cover_search(
             slack[w] -= 1
             if not slack[w]:
                 tight |= low
-        dfs(undecided ^ take, hungry, tight, outstanding)
+        dfs(undecided ^ take, hungry, tight, outstanding, picked, size)
         hit = adj[u] & hungry
         while hit:
             low = hit & -hit
             hit ^= low
             slack[low.bit_length() - 1] += 1
 
-    dfs((1 << len(adj)) - 1, hungry, tight, outstanding)
+    dfs((1 << len(adj)) - 1, hungry, tight, outstanding, 0, 0)
     del dfs  # dfs holds itself through its closure; unbound, the solve is freed at once
     return covers, nodes
 
@@ -400,12 +399,9 @@ def _signed_demand(degrees: Sequence[int], param: str) -> tuple[int, list[int]]:
     return -sign, [(d - cap + 1) // 2 for d in degrees]
 
 
-def _labelling(n: int, cover: frozenset[int], label: int) -> tuple[int, ...]:
-    """``label`` on the cover and ``-label`` on every other vertex."""
-    values = [-label] * n
-    for v in cover:
-        values[v] = label
-    return tuple(values)
+def _labelling(n: int, cover: int, label: int) -> tuple[int, ...]:
+    """``label`` on the cover mask and ``-label`` on every other vertex."""
+    return tuple([label if cover >> v & 1 else -label for v in range(n)])
 
 
 def _signed_cover(g: Graph, param: str) -> ParameterResult:
@@ -413,7 +409,8 @@ def _signed_cover(g: Graph, param: str) -> ParameterResult:
     label, demand = _signed_demand(degrees, param)
     covers, nodes = _cover_search(g, degrees, demand)
     cover = covers[-1]
-    return ParameterResult(label * (2 * len(cover) - g.n), _labelling(g.n, cover, label), nodes)
+    return ParameterResult(label * (2 * cover.bit_count() - g.n),
+                           _labelling(g.n, cover, label), nodes)
 
 
 def istdn(g: Graph) -> ParameterResult:
@@ -433,13 +430,13 @@ def st2in(g: Graph) -> ParameterResult:
 
 def scan_maximum_istdfs(
     g: Graph,
-    visit: Callable[[frozenset[int]], object] | None,
+    visit: Callable[[int], object] | None,
     optimum: int | None = None,
-) -> list[frozenset[int]]:
-    """The minus sets of the labellings achieving istdn(g), in the sorted
-    order of the labellings, up to the first that ``visit`` returns true
-    on (all of them when ``visit`` is None); ``visit`` receives each as it
-    is found.
+) -> list[int]:
+    """The minus sets of the labellings achieving istdn(g), as vertex
+    masks, in the sorted order of the labellings, up to the first that
+    ``visit`` returns true on (all of them when ``visit`` is None);
+    ``visit`` receives each as it is found.
 
     These are the minimum covers of the istdn demand, which the cover
     search visits in labelling order when its bound is pinned one above
@@ -449,7 +446,7 @@ def scan_maximum_istdfs(
     degrees = _require_positive_min_degree(g)
     _, demand = _signed_demand(degrees, "istdn")
     if optimum is None:
-        size = len(_cover_search(g, degrees, demand)[0][-1])
+        size = _cover_search(g, degrees, demand)[0][-1].bit_count()
     else:
         size = (g.n - optimum) // 2
     return _cover_search(g, degrees, demand, below=size + 1, visit=visit)[0]
@@ -483,7 +480,9 @@ def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
     covers, nodes = _cover_search(g, degrees, [k] * g.n)
-    return ParameterResult(len(covers[-1]), covers[-1], nodes)
+    cover = covers[-1]
+    return ParameterResult(cover.bit_count(),
+                           frozenset(v for v in range(g.n) if cover >> v & 1), nodes)
 
 
 def total_domination(g: Graph) -> ParameterResult:

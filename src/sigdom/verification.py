@@ -54,8 +54,6 @@ from .solvers import (
     total_domination,
 )
 
-LEAF_CONDITION_ORDER_CAP = 14
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -361,17 +359,12 @@ def _lemma42(facts: GraphFacts) -> Outcome:
     """
     if not facts.tree:
         return "not a tree on >= 2 vertices"
-    if facts.graph.n > LEAF_CONDITION_ORDER_CAP:
-        return f"order above enumeration cap {LEAF_CONDITION_ORDER_CAP}"
     groups = facts.tree_structure.leaf_groups.values()
     best = None  # (shortfall, the minus set of the optimum that has it)
 
-    def visit(minus: frozenset[int]) -> bool:
+    def visit(minus: int) -> bool:
         nonlocal best
-        shortfall = min(
-            sum(1 for u in group if u not in minus) - len(group) // 2
-            for group in groups
-        )
+        shortfall = min((group & ~minus).bit_count() - group.bit_count() // 2 for group in groups)
         if best is None or shortfall > best[0]:
             best = shortfall, minus
         return best[0] >= 0
@@ -379,7 +372,7 @@ def _lemma42(facts: GraphFacts) -> Outcome:
     scan_maximum_istdfs(facts.graph, visit, optimum=facts.istdn.value)
     assert best is not None
     shortfall, minus = best
-    optimum = tuple(-1 if v in minus else 1 for v in range(facts.graph.n))
+    optimum = tuple(-1 if minus >> v & 1 else 1 for v in range(facts.graph.n))
     recheck_witness(facts.graph, "istdn", ParameterResult(facts.istdn.value, optimum, 0))
     return (shortfall, 0, shortfall >= 0, shortfall == 0,
             "max-min surplus of +1 leaves over half the group size")

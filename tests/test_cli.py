@@ -704,9 +704,9 @@ def test_lemma42_labelling_that_fails_its_recheck_exits_3(capsys, monkeypatch):
     from sigdom import verification
 
     p4 = write_graph6(path_graph(4))
-    # the minus set of (-1, 1, 1, -1): weight 0 = istdn(P4), but
+    # the minus set {0, 3} of (-1, 1, 1, -1): weight 0 = istdn(P4), but
     # N(0) = {1} sums to 1 > 0
-    bad = frozenset({0, 3})
+    bad = 0b1001
     real = verification.scan_maximum_istdfs
 
     def scan_optima(g, visit, optimum=None):

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import networkx as nx
 import pytest
 
@@ -30,9 +33,13 @@ def leaves(t: Graph) -> frozenset[int]:
     return frozenset(v for v in range(t.n) if t.degree(v) == 1)
 
 
+def mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
 def group_sizes(ts) -> tuple[int, ...]:
-    """The leaf group sizes, in ``supports`` order."""
-    return tuple(len(ts.leaf_groups[v]) for v in ts.supports)
+    """The leaf group sizes, in increasing order of their supports."""
+    return tuple(group.bit_count() for group in ts.leaf_groups.values())
 
 
 def double_star(a: int, b: int) -> Graph:
@@ -50,31 +57,31 @@ def double_star(a: int, b: int) -> Graph:
 
 def test_tree_structure_star():
     ts = tree_structure(star_graph(5))
-    assert ts.supports == (0,)
+    assert tuple(ts.leaf_groups) == (0,)
     assert group_sizes(ts) == (4,)
     assert leaves(ts.tree) == {1, 2, 3, 4}
     assert ts.support_degree == 0
-    assert ts.outsiders == frozenset()
+    assert ts.outsiders == 0
 
 
 def test_tree_structure_path4():
     ts = tree_structure(path_graph(4))
-    assert ts.supports == (1, 2)
+    assert tuple(ts.leaf_groups) == (1, 2)
     assert group_sizes(ts) == (1, 1)
     assert ts.support_degree == 1
-    assert ts.leaf_groups[1] == {0} and ts.leaf_groups[2] == {3}
+    assert ts.leaf_groups[1] == 0b0001 and ts.leaf_groups[2] == 0b1000
 
 
 def test_tree_structure_double_star():
     ts = tree_structure(double_star(2, 2))
-    assert len(ts.supports) == 2
+    assert len(ts.leaf_groups) == 2
     assert group_sizes(ts) == (2, 2)
     assert ts.support_degree == 1
 
 
 def test_tree_structure_two_vertex_path():
     ts = tree_structure(path_graph(2))
-    assert set(ts.supports) == {0, 1}
+    assert set(ts.leaf_groups) == {0, 1}
     assert leaves(ts.tree) == {0, 1}
     assert group_sizes(ts) == (1, 1)
 
@@ -84,7 +91,19 @@ def test_tree_structure_leaf_partition():
         for t in free_trees(n):
             ts = tree_structure(t)
             assert sum(group_sizes(ts)) == len(leaves(t))
-            assert set().union(*ts.leaf_groups.values()) == leaves(t)
+            leaf_mask = mask(leaves(t))
+            assert functools.reduce(operator.or_, ts.leaf_groups.values()) == leaf_mask
+            # each support's group is the mask of its degree-1 neighbours, and
+            # the supports are exactly the vertices that have one, in order
+            groups = {v: mask(u for u in t.neighbors(v) if t.degree(u) == 1)
+                      for v in range(n)}
+            assert list(ts.leaf_groups.items()) == [(v, g) for v, g in groups.items() if g]
+            # leaves, supports and outsiders partition the vertices; only in
+            # the two-vertex path is each leaf also a support
+            supports = mask(ts.leaf_groups)
+            assert leaf_mask | supports | ts.outsiders == (1 << n) - 1
+            assert ts.outsiders & (leaf_mask | supports) == 0
+            assert leaf_mask & supports == (leaf_mask if n == 2 else 0)
 
 
 def test_tree_structure_rejects_non_trees():
