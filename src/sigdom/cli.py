@@ -276,7 +276,7 @@ def _compute_record(g: Graph, param: str, k: int | None) -> str:
         result = recheck_witness(g, param, ktuple_total_domination(g, k), k)
     else:
         result = recheck_witness(g, param, _PARAM_SOLVERS[param](g))
-    payload = {"graph_id": write_graph6(g), "param": param}
+    payload = {"graph_id": g.graph6 or write_graph6(g), "param": param}
     if param == "ktd":
         payload["k"] = k
     payload["value"] = result.value

@@ -3,6 +3,9 @@
 Vertices are always 0..n-1.  Adjacency is stored as one Python int bitmask per
 vertex, so neighbourhood intersections and counts are cheap machine-word
 operations; every search-heavy routine in the package leans on that.
+
+Graph.__init__ checks every edge it is given; the graph6 reader builds the
+masks straight from the payload and keeps the record's text as the graph id.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ class Graph:
     """Simple undirected graph: no loops, no multi-edges, immutable.
 
     ``adj[v]`` is the neighbour bitmask of vertex ``v``; ``m`` is the edge
-    count.  Equality and hashing are vertex-for-vertex (labelled), not up to
-    isomorphism.
+    count.  ``graph6`` is the text of the graph6 record the graph was
+    decoded from, header and whitespace removed, which is what write_graph6
+    gives for it; a graph built from edges has None there.  Equality and
+    hashing are vertex-for-vertex (labelled), not up to isomorphism.
     """
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj", "m", "graph6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -51,6 +56,7 @@ class Graph:
             m += 1
         self.adj = tuple(adj)
         self.m = m
+        self.graph6 = None
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -121,7 +127,11 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 short-form record (the inverse of write_graph6)."""
+    """Decode one graph6 short-form record (the inverse of write_graph6).
+
+    The short form maps graphs one-to-one onto the records accepted here,
+    so the record's text, header and whitespace removed, is the ``graph6``
+    of the graph."""
     s = line.strip()
     if s.startswith(_G6_HEADER_PREFIX):
         s = s[len(_G6_HEADER_PREFIX):]
@@ -147,17 +157,24 @@ def parse_graph6(line: str) -> Graph:
     if bits & ((1 << padding) - 1):
         raise GraphFormatError("nonzero padding bits in graph6 record")
     bits >>= padding
+    m = bits.bit_count()
     # column order (0,1),(0,2),(1,2),(0,3),... as in write_graph6, so the
     # last column, j = n - 1, sits in the lowest j bits with row 0 highest
-    edges = []
+    adj = [0] * n
     for j in range(n - 1, 0, -1):
         col = bits & ((1 << j) - 1)
         bits >>= j
         while col:
             low = col & -col
-            edges.append((j - low.bit_length(), j))
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
             col ^= low
-    return Graph(n, edges)
+    # no edge decoded here can be out of range, a loop or a repeat, so
+    # Graph.__init__ and its edge checks are skipped
+    g = Graph.__new__(Graph)
+    g.n, g.adj, g.m, g.graph6 = n, tuple(adj), m, s
+    return g
 
 
 def stream_graph6(

@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, _iter_bits
 
 #: The most nodes one search may explore.  Work, not vertex count, decides
 #: what is out of reach: hr(4) (n = 48) closes after one dive of 24 nodes,
@@ -401,7 +401,10 @@ def _signed_demand(degrees: Sequence[int], param: str) -> tuple[int, list[int]]:
 
 def _labelling(n: int, cover: int, label: int) -> tuple[int, ...]:
     """``label`` on the cover mask and ``-label`` on every other vertex."""
-    return tuple([label if cover >> v & 1 else -label for v in range(n)])
+    labels = [-label] * n
+    for v in _iter_bits(cover):
+        labels[v] = label
+    return tuple(labels)
 
 
 def _signed_cover(g: Graph, param: str) -> ParameterResult:
@@ -481,8 +484,7 @@ def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
     covers, nodes = _cover_search(g, degrees, [k] * g.n)
     cover = covers[-1]
-    return ParameterResult(cover.bit_count(),
-                           frozenset(v for v in range(g.n) if cover >> v & 1), nodes)
+    return ParameterResult(cover.bit_count(), frozenset(_iter_bits(cover)), nodes)
 
 
 def total_domination(g: Graph) -> ParameterResult:

@@ -4,11 +4,13 @@ Each check is one row of the table CHECKS: a function of one graph's
 GraphFacts that returns only its numbers, (lhs, rhs, holds, sharp, notes),
 or the reason the graph is out of its scope.  evaluate_check turns that
 into a CheckReport, and run_suite folds reports over a corpus.  The checks
-on one graph share a GraphFacts: its graph6 id, degree and connectivity
+on one graph share a GraphFacts: its graph id, degree and connectivity
 tests, clique number, istdn optimum and tree structure are each computed
-once, on first use, and read by every check after that.  GraphFacts refuses
-the empty graph, for which no check is stated.  The regular-graph
-identities still take their signed side from their own labelling search.
+once, on first use, and read by every check after that; the graph id is
+the graph6 record's own text, and only a graph built from edges, such as a
+generated tree, is encoded for it.  GraphFacts refuses the empty graph, for
+which no check is stated.  The regular-graph identities still take their
+signed side from their own labelling search.
 The istdn fact, t22's total domination number, every optimum the regular
 identities read and the labelling behind lemma42's shortfall are read only
 after their witnesses pass a re-check.
@@ -16,7 +18,8 @@ Every comparison is exact, in integers or Fractions; no check compares
 floats.  Only the clique-constrained bound prints a rounded rhs, and only
 when its square root is irrational.  A report line is written with one
 format string, strings through json's C encoder and numbers as exact text,
-in the same bytes as json.dumps of the report's fields.
+in the same bytes as json.dumps of the report's fields; the numbers of a
+report on a graph out of a check's scope are constant text.
 """
 
 from __future__ import annotations
@@ -98,6 +101,19 @@ class CheckReport(NamedTuple):
                 f'"notes": {_json_string(self.notes)}}}')
 
 
+class _Inapplicable(CheckReport):
+    """The report of a graph outside a check's scope, as evaluate_check
+    builds it: lhs 0, rhs 0, holds, not sharp, not applicable."""
+
+    __slots__ = ()
+
+    def json_line(self) -> str:
+        return (f'{{"check_id": {_json_string(self.check_id)}, '
+                f'"graph_id": {_json_string(self.graph_id)}, '
+                '"lhs": 0, "rhs": 0, "holds": true, "sharp": false, '
+                f'"notes": {_json_string(self.notes)}}}')
+
+
 class SuiteSummary:
     """Per-check counters plus the list of genuine violations, held as the
     dicts the summary line prints."""
@@ -172,7 +188,8 @@ class GraphFacts:
 
     @_fact
     def graph6(self) -> str:
-        return write_graph6(self.graph)
+        """The graph id: the graph's own graph6 record text, or its encoding."""
+        return self.graph.graph6 or write_graph6(self.graph)
 
     @_fact
     def regular_degree(self) -> int | None:
@@ -407,23 +424,26 @@ CHECKS: dict[str, Callable[[GraphFacts], Outcome]] = {
 CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
-def evaluate_check(check_id: str, g: Graph | GraphFacts) -> CheckReport:
-    """Run a single check by id on a graph or on the shared facts of one."""
-    if check_id not in CHECKS:
+def evaluate_check(check_id: str, g: Graph, facts: GraphFacts | None = None) -> CheckReport:
+    """Run a single check by id on a graph.  The checks on one graph share
+    ``facts``, the GraphFacts of ``g``; without it, the check builds its own."""
+    check = CHECKS.get(check_id)
+    if check is None:
         raise ValueError(f"unknown check {check_id!r}")
-    facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
-    outcome = CHECKS[check_id](facts)
-    if isinstance(outcome, str):
-        return CheckReport(check_id, facts.graph6, 0, 0, True, False, False,
-                           f"inapplicable: {outcome}")
+    if facts is None:
+        facts = GraphFacts(g)
+    outcome = check(facts)
+    if type(outcome) is str:
+        return _Inapplicable(check_id, facts.graph6, 0, 0, True, False, False,
+                             f"inapplicable: {outcome}")
     lhs, rhs, holds, sharp, notes = outcome
-    return CheckReport(check_id, facts.graph6, lhs, rhs, holds, sharp, notes=notes)
+    return CheckReport(check_id, facts.graph6, lhs, rhs, holds, sharp, True, notes)
 
 
 def _evaluate_checks(check_ids: list[str], g: Graph) -> list[CheckReport]:
     """One graph's reports; its checks share one GraphFacts."""
     facts = GraphFacts(g)
-    return [evaluate_check(cid, facts) for cid in check_ids]
+    return [evaluate_check(cid, g, facts) for cid in check_ids]
 
 
 def run_suite(

@@ -273,8 +273,22 @@ def test_verify_computes_each_fact_once_per_graph(capsys, monkeypatch, source):
     assert code == 0
     graphs = {parse_graph6(json.loads(line)["graph_id"]) for line in out.splitlines()[:-1]}
     assert len(graphs) == (27 if source[0] == "--input" else 94)
-    assert all(calls["write_graph6", g] == 1 and calls["istdn", g] == 1 for g in graphs)
+    # a graph6 record is its own id; only a generated tree is encoded
+    encodes = 0 if source[0] == "--input" else 1
+    assert all(calls["write_graph6", g] == encodes and calls["istdn", g] == 1 for g in graphs)
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all"], ["compute", "--param", "istdn"]])
+def test_header_and_crlf_records_print_the_bare_ids(capsys, monkeypatch, tmp_path, argv):
+    # the graph id is the record's text without its header and line end
+    dressed = "".join(f">>graph6<<{line}\r\n" for line in Path(CUBIC).read_text().split())
+    dressed_file = tmp_path / "dressed.g6"
+    dressed_file.write_bytes(dressed.encode("ascii"))
+    bare = run_cli(capsys, monkeypatch, [*argv, "--input", CUBIC])
+    assert bare[0] == 0 and bare[1].count("\n") >= 27
+    assert run_cli(capsys, monkeypatch, [*argv, "--input", str(dressed_file)]) == bare
+    assert run_cli(capsys, monkeypatch, argv, stdin=dressed) == bare
 
 
 def test_verify_has_no_r_flag(capsys, monkeypatch):
@@ -319,6 +333,8 @@ def test_byte_deterministic_output(capsys, monkeypatch):
 #: through json.dumps.  A change that moves an output byte re-pins here and
 #: says why in CHANGES.md.
 PINNED_STDOUT = [
+    (["verify", "--suite", "all", "--input", str(DATA / "connected_upto8.g6")],
+     "e86ced09cf9e4f62cc186ec2b5612a22bf3d347150e8939a0a556d7a5edc0f2a"),
     (["verify", "--suite", "all", "--input", CUBIC],
      "5c3a49086673b28ff23608c4011702eb691e84cd4ee33be857ec6fce04bfdb52"),
     (["verify", "--suite", "all", "--input", str(DATA / "quartic_5to9.g6")],

@@ -58,9 +58,15 @@ def test_quartic_corpus(quartic_5to9):
 
 
 def test_corpus_roundtrip_and_handshake(connected_upto8):
-    for g in connected_upto8:
+    path = Path(__file__).resolve().parent.parent / "data" / "connected_upto8.g6"
+    lines = path.read_text(encoding="ascii").split()
+    assert len(lines) == len(connected_upto8)
+    for line, g in zip(lines, connected_upto8):
         assert parse_graph6(write_graph6(g)) == g
         assert sum(g.degrees()) == 2 * g.m
+        # each edge is one set payload bit, counted here without the decoder
+        assert parse_graph6(line).m == g.m == sum(bin(ord(c) - 63).count("1") for c in line[1:])
+        assert g.graph6 == line == write_graph6(g)
 
 
 @pytest.fixture(scope="module")

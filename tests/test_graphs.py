@@ -110,9 +110,23 @@ def labelled_graphs(draw, max_n=62):
 def test_graph6_round_trip_against_networkx(g):
     line = write_graph6(g)
     assert parse_graph6(line) == g
+    # == compares masks only; the tree fact reads m
+    assert parse_graph6(line).m == g.m
     h = nx.from_graph6_bytes(line.encode("ascii"))
-    assert h.number_of_nodes() == g.n
+    assert h.number_of_nodes() == g.n and h.number_of_edges() == g.m
     assert sorted(tuple(sorted(e)) for e in h.edges()) == list(g.edges())
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs())
+def test_graph6_record_text_is_the_graph_id(g):
+    line = write_graph6(g)
+    assert g.graph6 is None
+    variants = [line, f">>graph6<<{line}", f"{line}\r\n", f">>graph6<<{line}\r\n",
+                f"  {line} \t\n", f" >>graph6<<{line} \r\n"]
+    records = list(stream_graph6(variants))
+    assert [h.graph6 for _, h in records] == [line] * len(variants)
+    assert all(h == g and h.m == g.m for _, h in records)
 
 
 def test_stream_graph6_reports_line_numbers():

@@ -299,6 +299,7 @@ def test_inapplicable_reasons(check_id, g, reason):
     assert rep == CheckReport(
         check_id, write_graph6(g), 0, 0, True, False, False, f"inapplicable: {reason}"
     )
+    assert rep.json_line() == _dumps_line(rep)
 
 
 def test_evaluate_check_dispatch():
