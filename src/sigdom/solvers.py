@@ -212,22 +212,23 @@ def _cover_search(
     demand: Sequence[int],
     below: int | None = None,
     visit: Callable[[int], object] | None = None,
-) -> tuple[list[int], int]:
+) -> tuple[int, int]:
     """Depth-first branch and bound over covers of ``demand``, given the
-    degrees of ``g``; returns the covers it records, each a vertex mask, and
+    degrees of ``g``; returns the last cover it reaches, a vertex mask, and
     the nodes explored, the first dive's included: two per branching pick,
-    one per forced step.  ``visit``, when given, receives each cover as it
-    is recorded, and the search stops as soon as it returns true.
+    one per forced step.
 
     Every cover has at least max(max demand, ceil(total demand / Delta))
     vertices, so the search stops once the size it must beat meets that.
-    Without ``below`` it minimises from n + 1: each cover found replaces
-    the last and becomes the size to beat.  With ``below`` that size stays
-    put and every cover smaller than it is kept.  With ``below`` one above
-    the minimum those are exactly the minimum covers, each recorded once:
-    the two branches of a node disagree on a vertex, so no two leaves hold
-    the same set, and a branch stops as soon as its set covers, which no
-    proper subset of a minimum cover does.
+    Without ``below`` it minimises from n + 1: each cover found becomes the
+    size to beat, so the last one is a minimum cover.  With ``below``,
+    ``visit`` must come too: the size to beat stays put, every cover
+    smaller than it goes to ``visit`` as it is reached, and the search
+    stops as soon as ``visit`` returns true.  With ``below`` one above the
+    minimum those are exactly the minimum covers, each visited once: the
+    two branches of a node disagree on a vertex, so no two leaves hold the
+    same set, and a branch stops as soon as its set covers, which no proper
+    subset of a minimum cover does.
 
     Branching takes the fewest remaining options first (Knuth, "Dancing
     links", arXiv cs/0011047).  A vertex with demand left is hungry; its
@@ -243,7 +244,7 @@ def _cover_search(
     With ``below`` the search visits covers in labelling order instead, the
     sorted order of their labellings with -1 on the cover: it branches on
     the lowest undecided vertex with a hungry neighbour, and takes it
-    first.  With ``below`` one above the minimum, no cover it records holds
+    first.  With ``below`` one above the minimum, no cover it visits holds
     a lower undecided vertex.  Such a vertex has no hungry neighbour, and
     never gains one, as the hungry vertices only shrink below a node; a
     cover holding it would cover without it, so it is not minimum.  So the
@@ -281,22 +282,20 @@ def _cover_search(
     reach_classes = sorted(classes.items(), reverse=True)
     best = len(adj) + 1 if below is None else below
     lower = outstanding and max(max(need), -(-outstanding // reach_classes[0][0]))
-    covers: list[int] = []
-    nodes = 0
+    cover = nodes = 0
     budget = SEARCH_NODE_BUDGET
 
     def dfs(undecided: int, hungry: int, tight: int, outstanding: int,
             picked: int, size: int) -> None:
-        nonlocal best, nodes
+        nonlocal best, cover, nodes
         if best == lower:
             return
         if not hungry:
             # the pruning keeps every cover reached smaller than best
+            cover = picked
             if below is None:
                 best = size
-                covers.clear()
-            covers.append(picked)
-            if visit is not None and visit(picked):
+            elif visit(picked):
                 best = lower  # every open node returns at its next check
             return
         for reach, mask in reach_classes:
@@ -384,7 +383,7 @@ def _cover_search(
 
     dfs((1 << len(adj)) - 1, hungry, tight, outstanding, 0, 0)
     del dfs  # dfs holds itself through its closure; unbound, the solve is freed at once
-    return covers, nodes
+    return cover, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +409,7 @@ def _labelling(n: int, cover: int, label: int) -> tuple[int, ...]:
 def _signed_cover(g: Graph, param: str) -> ParameterResult:
     degrees = _require_positive_min_degree(g)
     label, demand = _signed_demand(degrees, param)
-    covers, nodes = _cover_search(g, degrees, demand)
-    cover = covers[-1]
+    cover, nodes = _cover_search(g, degrees, demand)
     return ParameterResult(label * (2 * cover.bit_count() - g.n),
                            _labelling(g.n, cover, label), nodes)
 
@@ -431,36 +429,26 @@ def st2in(g: Graph) -> ParameterResult:
     return _signed_cover(g, "st2in")
 
 
-def scan_maximum_istdfs(
-    g: Graph,
-    visit: Callable[[int], object] | None,
-    optimum: int | None = None,
-) -> list[int]:
-    """The minus sets of the labellings achieving istdn(g), as vertex
-    masks, in the sorted order of the labellings, up to the first that
-    ``visit`` returns true on (all of them when ``visit`` is None);
-    ``visit`` receives each as it is found.
+def scan_maximum_istdfs(g: Graph, visit: Callable[[int], object], optimum: int) -> None:
+    """Passes ``visit`` the minus sets of the labellings achieving
+    ``optimum``, which must be istdn(g), as vertex masks, in the sorted
+    order of the labellings, and stops at the first it returns true on.
 
     These are the minimum covers of the istdn demand, which the cover
     search visits in labelling order when its bound is pinned one above
-    the minimum minus-set size.  ``optimum``, when given, must be
-    istdn(g); it spares the solve.
+    the minimum minus-set size.
     """
     degrees = _require_positive_min_degree(g)
     _, demand = _signed_demand(degrees, "istdn")
-    if optimum is None:
-        size = _cover_search(g, degrees, demand)[0][-1].bit_count()
-    else:
-        size = (g.n - optimum) // 2
-    return _cover_search(g, degrees, demand, below=size + 1, visit=visit)[0]
+    _cover_search(g, degrees, demand, below=(g.n - optimum) // 2 + 1, visit=visit)
 
 
-def enumerate_maximum_istdfs(
-    g: Graph, optimum: int | None = None
-) -> list[tuple[int, ...]]:
+def enumerate_maximum_istdfs(g: Graph) -> list[tuple[int, ...]]:
     """All labellings achieving istdn(g), sorted, as the cover search
-    visits them; ``optimum`` is as in ``scan_maximum_istdfs``."""
-    return [_labelling(g.n, m, -1) for m in scan_maximum_istdfs(g, None, optimum)]
+    visits them."""
+    minus: list[int] = []
+    scan_maximum_istdfs(g, minus.append, istdn(g).value)
+    return [_labelling(g.n, m, -1) for m in minus]
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +470,7 @@ def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
     delta = min(degrees)
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
-    covers, nodes = _cover_search(g, degrees, [k] * g.n)
-    cover = covers[-1]
+    cover, nodes = _cover_search(g, degrees, [k] * g.n)
     return ParameterResult(cover.bit_count(), frozenset(_iter_bits(cover)), nodes)
 
 

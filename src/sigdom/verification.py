@@ -49,6 +49,7 @@ from .graphs import (
 )
 from .solvers import (
     ParameterResult,
+    _labelling,
     istdn,
     ktuple_chain,
     optimize_signed,
@@ -386,10 +387,10 @@ def _lemma42(facts: GraphFacts) -> Outcome:
             best = shortfall, minus
         return best[0] >= 0
 
-    scan_maximum_istdfs(facts.graph, visit, optimum=facts.istdn.value)
+    scan_maximum_istdfs(facts.graph, visit, facts.istdn.value)
     assert best is not None
     shortfall, minus = best
-    optimum = tuple(-1 if minus >> v & 1 else 1 for v in range(facts.graph.n))
+    optimum = _labelling(facts.graph.n, minus, -1)
     recheck_witness(facts.graph, "istdn", ParameterResult(facts.istdn.value, optimum, 0))
     return (shortfall, 0, shortfall >= 0, shortfall == 0,
             "max-min surplus of +1 leaves over half the group size")

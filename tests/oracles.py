@@ -112,6 +112,15 @@ def random_connected_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
             return g
 
 
+def random_multipartite_graph(rng: random.Random, n: int, r: int, p: float) -> Graph:
+    """A random r-partite graph, so one with no (r+1)-clique: each vertex
+    draws its part, and each pair in different parts is an edge with
+    probability p."""
+    part = [rng.randrange(r) for _ in range(n)]
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                     if part[u] != part[v] and rng.random() < p])
+
+
 def _connected(g: Graph) -> bool:
     seen = {0}
     stack = [0]

@@ -725,11 +725,11 @@ def test_lemma42_labelling_that_fails_its_recheck_exits_3(capsys, monkeypatch):
     bad = 0b1001
     real = verification.scan_maximum_istdfs
 
-    def scan_optima(g, visit, optimum=None):
+    def scan_optima(g, visit, optimum):
         if write_graph6(g) != p4:
-            return real(g, visit, optimum)
-        visit(bad)
-        return [bad]
+            real(g, visit, optimum)
+        else:
+            visit(bad)
 
     monkeypatch.setattr(verification, "scan_maximum_istdfs", scan_optima)
     runs = []

@@ -1,7 +1,9 @@
 """The five parameters against an independent exact oracle: a 0/1 program
 solved by HiGHS through scipy, on graphs of the sizes where the cover search
 does real work: fixed graphs with 14 to 40 vertices, hr(2) and hr(4), and
-seeded random cubic, quartic, G(n, 4/n) and tree inputs with 10 to 40.
+seeded random cubic, quartic, G(n, 4/n) and tree inputs with 10 to 40.  On
+seeded dense r-partite graphs with 30 vertices, the Turán-type bound and
+t22 must hold, with istdn and td from HiGHS too.
 
 Each program is written from the parameter's definition, not from the
 solvers' cover demands, and the solution HiGHS returns is re-checked in
@@ -26,6 +28,8 @@ from sigdom.solvers import (
     stdn,
     total_domination,
 )
+from sigdom.verification import GraphFacts, evaluate_check
+from oracles import random_multipartite_graph
 
 #: Fixed graphs of the benchmark panel's classes.  The cubic and quartic
 #: graphs come from the configuration model and the G(n, p) graphs are
@@ -161,3 +165,21 @@ def test_five_parameters_match_the_milp_oracle_on_random_graphs(kind, n, seed):
     g = _random_graph(kind, n, seed)
     assume(min_degree(g) >= 1)
     _assert_five_parameters_match(g)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_turan_and_t22_on_dense_clique_free_graphs(r):
+    # ROADMAP item 12: dense K_{r+1}-free graphs, where the Turán-type bound
+    # has room to bind; at n = 30 each istdn search closes within 95,000 nodes
+    rng = random.Random(r)
+    for _ in range(3):
+        g = random_multipartite_graph(rng, 30, r, 0.5)
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        assert nx.is_connected(h) and max(len(c) for c in nx.find_cliques(h)) <= r
+        facts = GraphFacts(g)
+        for cid in ("turan", "t22"):
+            rep = evaluate_check(cid, g, facts)
+            assert rep.applicable and rep.holds, (cid, rep.notes)
+        assert facts.istdn.value == milp_signed(g, *SIGNED["istdn"][1:])
+        assert recheck_witness(g, "td", total_domination(g)).value == milp_ktuple(g, 1)

@@ -352,35 +352,39 @@ def graphs_with_demands(draw) -> tuple[Graph, list[int]]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs_with_demands())
-def test_cover_engine_on_arbitrary_demands(case):
+@given(graphs_with_demands(), st.data())
+def test_cover_engine_on_arbitrary_demands(case, data):
     # beyond the five parameters' demands: the minimum, a covering witness,
-    # and exactly the minimum covers, each once, from the enumerating mode
+    # and exactly the minimum covers, each once, from the visiting mode
     g, demand = case
     size, minimum_covers = brute_cover(g, demand)
     minimum_covers = {sum(1 << v for v in c) for c in minimum_covers}
-    best = solvers._cover_search(g, g.degrees(), demand)[0][-1]
+    best, _ = solvers._cover_search(g, g.degrees(), demand)
     assert best.bit_count() == size
     assert all((a & best).bit_count() >= d for a, d in zip(g.adj, demand))
-    covers, _ = solvers._cover_search(g, g.degrees(), demand, below=size + 1)
+    covers = []
+    solvers._cover_search(g, g.degrees(), demand, below=size + 1, visit=covers.append)
     assert len(covers) == len(minimum_covers)
     assert set(covers) == minimum_covers
-    # in labelling order, -1 on the cover: a visitor that stops at once
-    # receives the labelling-first minimum cover, and nothing after it
+    # in labelling order, -1 on the cover: a visitor that stops on its j-th
+    # call receives the first j minimum covers, and nothing after them
     labelling = lambda c: tuple(-1 if c >> v & 1 else 1 for v in range(g.n))
     assert covers == sorted(covers, key=labelling)
-    first = min(minimum_covers, key=labelling)
+    j = data.draw(st.integers(1, len(covers)), label="j")
     visited = []
-    stop = lambda c: visited.append(c) or True
-    assert solvers._cover_search(g, g.degrees(), demand, below=size + 1, visit=stop)[0] == [first]
-    assert visited == [first]
+    stop = lambda c: visited.append(c) or len(visited) == j
+    solvers._cover_search(g, g.degrees(), demand, below=size + 1, visit=stop)
+    assert visited == covers[:j]
 
 
 def test_cover_engine_without_demand_or_edges():
     # the lower bound divides by Delta only when some demand is outstanding
     for g in (Graph(1, []), Graph(3, [])):
-        assert solvers._cover_search(g, g.degrees(), [0] * g.n) == ([0], 0)
-        assert solvers._cover_search(g, g.degrees(), [0] * g.n, below=1) == ([0], 0)
+        assert solvers._cover_search(g, g.degrees(), [0] * g.n) == (0, 0)
+        visited = []
+        assert solvers._cover_search(g, g.degrees(), [0] * g.n, below=1,
+                                     visit=visited.append) == (0, 0)
+        assert visited == [0]
 
 
 def test_st2in_with_zero_demand_everywhere():

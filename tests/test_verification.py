@@ -132,9 +132,9 @@ def test_regular_identities_are_independent_of_the_cover_engine(monkeypatch):
     def padded(g, *args, **kwargs):
         # a feasible cover one vertex above the minimum: its witness passes
         # the re-check, so only the identities can catch it
-        covers, nodes = real(g, *args, **kwargs)
-        extra = min(v for v in range(g.n) if not covers[-1] >> v & 1)
-        return [covers[-1] | 1 << extra], nodes
+        cover, nodes = real(g, *args, **kwargs)
+        extra = min(v for v in range(g.n) if not cover >> v & 1)
+        return cover | 1 << extra, nodes
 
     monkeypatch.setattr(solvers, "_cover_search", padded)
     # the signed solvers and the tuple minima now err alike; a check that
@@ -404,6 +404,25 @@ def test_lemma42_is_its_brute_force_scan(monkeypatch, seed):
             assert rechecked[-1] == optimum, write_graph6(g)
             past_first += read > 1
     assert past_first == {1: 5, 2: 9}[seed]
+
+
+def test_lemma42_scan_search_nodes_are_pinned(monkeypatch):
+    # outputs alone do not guard the scan: one that kept its order but
+    # stopped pruning would report the same numbers
+    real = solvers._cover_search
+    scans = []
+
+    def counted(g, degrees, demand, below=None, visit=None):
+        result = real(g, degrees, demand, below, visit)
+        if below is not None:
+            scans.append(result[1])
+        return result
+
+    monkeypatch.setattr(solvers, "_cover_search", counted)
+    for n in range(2, 13):
+        for t in free_trees(n):
+            evaluate_check("lemma42", t)
+    assert (len(scans), sum(scans)) == (986, 11_531)
 
 
 def test_run_suite_sharp_on_complete_and_cycles():
