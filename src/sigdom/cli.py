@@ -280,8 +280,7 @@ def _compute_record(g: Graph, param: str, k: int | None) -> str:
     if param == "ktd":
         payload["k"] = k
     payload["value"] = result.value
-    w = result.witness
-    payload["witness"] = sorted(w) if isinstance(w, frozenset) else list(w)
+    payload["witness"] = list(result.witness)
     return json.dumps(payload)
 
 

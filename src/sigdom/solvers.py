@@ -16,7 +16,8 @@ search over bitset adjacency (``_cover_search``).  With h = s*f and M the
 set where h = -1, h(N(v)) = deg v - 2|N(v) & M|, so a signed problem covers
 with M, demanding ceil((deg v - s*b) / 2), and its value is
 s*(n - 2 min|M|).  ktd and td cover with D, demanding k or 1; their value
-is min|D|.  A signed witness is the labelling, a tuple of n values +-1.
+is min|D|.  A signed witness is the labelling, a tuple of n values +-1,
+and a cover parameter's is D, its vertices in increasing order, a tuple.
 Each parameter's solver returns one ParameterResult, a NamedTuple of the
 value, the witness and the nodes searched; a signed solve builds it
 straight from the cover the search returns.
@@ -36,8 +37,10 @@ labellings, and a caller stops it at the first one it needs.
 ``optimize_signed`` is kept as an independent search over the labellings
 themselves.  On an r-regular graph the signed demands are constant, so the
 regular-graph identities take their signed side from it; from the cover
-engine they would compare that engine with itself.  All searches are exact
-and deterministic; each one gives up with a ValueError once it has explored
+engine they would compare that engine with itself.  It passes down P, the
+mask where h = +1 so far, and tests the bound 2|N(v) & P| - deg v <= s*b
+only after a +1, as a -1 leaves P as it was.  All searches are exact and
+deterministic; each one gives up with a ValueError once it has explored
 more than SEARCH_NODE_BUDGET nodes.  ``recheck_witness`` checks a result's
 witness against the graph from scratch, without the search.  A solve reads
 the degree tuple once, and a solve that returns leaves no reference cycle:
@@ -82,10 +85,11 @@ def _sign_and_cap(param: str) -> tuple[int, int]:
 
 class ParameterResult(NamedTuple):
     """Exact optimum with an achieving witness and the nodes its search
-    explored, the dive that found the first witness included."""
+    explored, the dive that found the first witness included.  The witness
+    is a +-1 labelling, or a cover's vertices in increasing order."""
 
     value: int
-    witness: "tuple[int, ...] | frozenset[int]"  # a +-1 labelling or a cover
+    witness: tuple[int, ...]
     nodes_explored: int
 
 
@@ -141,64 +145,57 @@ def optimize_signed(g: Graph, param: str) -> ParameterResult:
     """Exact optimum of a signed parameter by depth-first branch and bound.
 
     Searches h = sign*f: maximise h(V) subject to h(N(v)) <= cap =
-    sign*bound, trying +1 first at each vertex.  Pruning: (i)+(ii) a
-    neighbourhood whose sum stays above cap even if all of its unlabelled
-    vertices take -1 kills the branch; (iii) an optimistic completion
-    (remaining vertices all +1, feasibility ignored) that cannot strictly
-    beat the incumbent kills the branch.  The incumbent starts from the
-    all -1 labelling, which is always feasible, so the search is never
-    unseeded.
+    sign*bound, trying +1 first at each vertex.  The state is P, the mask
+    of vertices labelled +1 so far, passed down the recursion.  Pruning:
+    (i) a neighbourhood whose sum stays above cap even if all of its
+    unlabelled vertices take -1, that is 2|N(v) & P| - deg v > cap, kills
+    the branch.  A -1 leaves P as it was, so only a +1 needs this test, at
+    the new vertex's neighbours.  (ii) An optimistic completion (remaining
+    vertices all +1, feasibility ignored) that cannot strictly beat the
+    incumbent kills the branch.  The incumbent starts from the all -1
+    labelling, which is always feasible, so the search is never unseeded.
     """
     sign, cap = _sign_and_cap(param)
     degrees = _require_positive_min_degree(g)
     n = g.n
+    adj = g.adj
     # Descending degree, ties by index: high-degree vertices constrain the
     # most neighbourhoods early, and the total order makes runs reproducible.
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-
-    best_vals = [-1] * n
+    # 2|N(v) & P| - deg v <= cap: the most +1 neighbours v may have
+    room = [(cap + d) // 2 for d in degrees]
     best = -n
-
-    vals = [0] * n
-    labeled = [0] * n          # sum of labelled neighbours
-    slack = list(degrees)      # number of unlabelled neighbours
-    nodes = 0
+    best_plus = nodes = 0
     budget = SEARCH_NODE_BUDGET
-    neighbor_lists = [list(g.neighbors(v)) for v in range(n)]
 
-    def dfs(i: int, weight: int) -> None:
-        nonlocal best, best_vals, nodes
+    def dfs(i: int, weight: int, plus: int) -> None:
+        nonlocal best, best_plus, nodes
         if i == n:
-            if weight > best:
-                best = weight
-                best_vals = vals.copy()
+            # the bound below lets only a strictly better labelling get here
+            best, best_plus = weight, plus
             return
         u = order[i]
         rest = n - i - 1
-        for s in (1, -1):
-            w2 = weight + s
-            if w2 + rest <= best:
+        for s, p in ((1, plus | 1 << u), (-1, plus)):
+            if weight + s + rest <= best:
                 continue
             nodes += 1
             if nodes > budget:
                 raise ValueError(f"labelling search passed the {budget}-node budget")
-            vals[u] = s
-            ok = True
-            for v in neighbor_lists[u]:
-                labeled[v] += s
-                slack[v] -= 1
-                if labeled[v] - slack[v] > cap:
-                    ok = False
-            if ok:
-                dfs(i + 1, w2)
-            for v in neighbor_lists[u]:
-                labeled[v] -= s
-                slack[v] += 1
-            vals[u] = 0
+            # a -1 leaves P as it was, so no neighbourhood needs a test
+            hit = adj[u] if s > 0 else 0
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                v = low.bit_length() - 1
+                if (adj[v] & p).bit_count() > room[v]:
+                    break
+            else:
+                dfs(i + 1, weight + s, p)
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     del dfs  # dfs holds itself through its closure; unbound, the solve is freed at once
-    return ParameterResult(sign * best, tuple(sign * x for x in best_vals), nodes)
+    return ParameterResult(sign * best, _labelling(n, best_plus, sign), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +468,9 @@ def ktuple_total_domination(g: Graph, k: int) -> ParameterResult:
     if not 1 <= k <= delta:
         raise ValueError(f"k must satisfy 1 <= k <= {delta}, got {k}")
     cover, nodes = _cover_search(g, degrees, [k] * g.n)
-    return ParameterResult(cover.bit_count(), frozenset(_iter_bits(cover)), nodes)
+    # a list sizes the tuple exactly; tuple() of a generator shrinks a 10-slot
+    # block, and such blocks, freed, fill the tuple free lists (+0.3 MB RSS)
+    return ParameterResult(cover.bit_count(), tuple([*_iter_bits(cover)]), nodes)
 
 
 def total_domination(g: Graph) -> ParameterResult:

@@ -549,7 +549,7 @@ def test_jobs_match_serial_on_a_deep_failure(capsys, monkeypatch, case):
         # the pool's workers are forked from this process, so they inherit it
         real, line_300 = cli._PARAM_SOLVERS["td"], parse_graph6(CORPUS_500[299])
         monkeypatch.setitem(cli._PARAM_SOLVERS, "td", lambda g: (
-            ParameterResult(0, frozenset(), 0) if g == line_300 else real(g)))
+            ParameterResult(0, (), 0) if g == line_300 else real(g)))
     stdin = "".join(g6 + "\n" for g6 in lines)
     runs = [run_cli(capsys, monkeypatch, [*argv, "--jobs", jobs], stdin)
             for jobs in ("1", "2")]
@@ -690,7 +690,7 @@ C4 = write_graph6(cycle_graph(4))
 #: N(1) sums to 2 > 0, and no neighbour of 0 lies in {0, 2}.
 BAD_C4_WITNESS = {
     "istdn": ParameterResult(0, (1, -1, 1, -1), 0),
-    "td": ParameterResult(2, frozenset({0, 2}), 0),
+    "td": ParameterResult(2, (0, 2), 0),
 }
 
 

@@ -109,14 +109,27 @@ LABELLING_SEARCH_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LABELLING_SEARCH_COUNTS))
-def test_labelling_search_pinned(name):
-    g, pinned = LABELLING_SEARCH_COUNTS[name]
+#: optimize_signed's (value, nodes) for (istdn, stdn, st2in), each summed
+#: over a corpus fixture: the graphs the regular identities run it on.
+LABELLING_SEARCH_CORPUS_COUNTS = {
+    "cubic_upto10": ((-116, 2816), (116, 2816), (48, 3584)),
+    "quartic_5to9": ((-21, 3245), (131, 1733), (-21, 3245)),
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(LABELLING_SEARCH_COUNTS) + sorted(LABELLING_SEARCH_CORPUS_COUNTS))
+def test_labelling_search_pinned(name, request):
+    if name in LABELLING_SEARCH_COUNTS:
+        g, pinned = LABELLING_SEARCH_COUNTS[name]
+        graphs = [g]
+    else:
+        graphs = request.getfixturevalue(name)
+        pinned = LABELLING_SEARCH_CORPUS_COUNTS[name]
     for param, want in zip(PROBLEMS, pinned):
-        res = optimize_signed(g, param)
-        assert (res.value, res.nodes_explored) == want, param
-        assert sum(res.witness) == res.value, param
-        assert is_feasible(g, res.witness, param), param
+        results = [recheck_witness(g, param, optimize_signed(g, param)) for g in graphs]
+        assert (sum(r.value for r in results),
+                sum(r.nodes_explored for r in results)) == want, param
 
 
 def test_istdn_closed_form_examples():
@@ -136,6 +149,12 @@ def test_tuple_domination_examples():
     assert total_domination(path_graph(4)).value == 2
     assert ktuple_total_domination(cycle_graph(4), 2).value == 4
     assert ktuple_total_domination(complete_graph(4), 2).value == 3
+    # a cover's witness is its vertices in increasing order, as compute prints it
+    for g in (cycle_graph(8), complete_graph(5), build_heawood()):
+        for res in (total_domination(g), ktuple_total_domination(g, 2)):
+            w = res.witness
+            assert type(w) is tuple and len(w) == res.value
+            assert all(a < b for a, b in zip(w, w[1:])), w
 
 
 def test_ktuple_validates_range():
