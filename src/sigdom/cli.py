@@ -5,7 +5,9 @@ Subcommands: ``compute`` (parameters over a graph6/edge-list stream),
 graph6), ``enumerate`` (free trees to graph6).  Results stream as JSONL or
 graph6 lines so the subcommands compose through pipes.  ``--jobs J``
 streams the records to J worker processes, at most one per CPU, in batches
-sized by their measured cost, with output byte-identical to ``--jobs 1``.
+sized by their measured cost, with output byte-identical to ``--jobs 1``;
+the workers send back text, a ``verify`` worker each graph's report lines
+and status letters.
 
 Exit codes: 0 all good, 1 a verified relation was violated, 2 usage,
 input or precondition error, 3 any other fault, a witness that fails its
@@ -298,13 +300,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    write = sys.stdout.write  # one call per report line, not print's two
-    summary = run_suite(
-        _records(args),
-        SUITES[args.suite],
-        on_report=lambda rep: write(rep.json_line() + "\n"),
-        mapper=partial(_run, args.jobs),
-    )
+    # one write per graph, of all its report lines
+    summary = run_suite(_records(args), SUITES[args.suite], write=sys.stdout.write,
+                        mapper=partial(_run, args.jobs))
     print(summary.json_line())
     return 0 if summary.ok else 1
 

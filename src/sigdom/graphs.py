@@ -4,8 +4,10 @@ Vertices are always 0..n-1.  Adjacency is stored as one Python int bitmask per
 vertex, so neighbourhood intersections and counts are cheap machine-word
 operations; every search-heavy routine in the package leans on that.
 
-Graph.__init__ checks every edge it is given; the graph6 reader builds the
-masks straight from the payload and keeps the record's text as the graph id.
+Graph.__init__ checks every edge it is given.  The graph6 reader and the
+tree generator build the masks themselves, where no edge can be out of
+range, a loop or a repeat, and hand them to ``_from_masks``; the graph6
+reader keeps the record's text as the graph id.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(int.bit_count, self.adj))
+        # a list sizes the tuple exactly; tuple() of a map shrinks a 10-slot
+        # block, and such blocks, freed, fill the tuple free lists
+        return tuple([*map(int.bit_count, self.adj)])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -86,6 +90,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _from_masks(n: int, adj: tuple[int, ...], m: int, graph6: str | None) -> Graph:
+    """A Graph from symmetric, loop-free neighbour masks and their edge
+    count, without Graph.__init__ and its edge checks."""
+    g = Graph.__new__(Graph)
+    g.n, g.adj, g.m, g.graph6 = n, adj, m, graph6
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +182,8 @@ def parse_graph6(line: str) -> Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
             col ^= low
-    # no edge decoded here can be out of range, a loop or a repeat, so
-    # Graph.__init__ and its edge checks are skipped
-    g = Graph.__new__(Graph)
-    g.n, g.adj, g.m, g.graph6 = n, tuple(adj), m, s
-    return g
+    # no edge decoded here can be out of range, a loop or a repeat
+    return _from_masks(n, tuple(adj), m, s)
 
 
 def stream_graph6(

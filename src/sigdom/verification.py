@@ -3,7 +3,10 @@
 Each check is one row of the table CHECKS: a function of one graph's
 GraphFacts that returns only its numbers, (lhs, rhs, holds, sharp, notes),
 or the reason the graph is out of its scope.  evaluate_check turns that
-into a CheckReport, and run_suite folds reports over a corpus.  The checks
+into a CheckReport.  run_suite runs the checks of one graph where its
+mapper calls them, a worker process under ``--jobs``, and gets back only
+text: the graph's report lines, one status letter per check and the graph
+id; it writes the lines and tallies the corpus by status string.  The checks
 on one graph share a GraphFacts: its graph id, degree and connectivity
 tests, clique number, istdn optimum and tree structure are each computed
 once, on first use, and read by every check after that; the graph id is
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
@@ -122,22 +126,6 @@ class SuiteSummary:
     def __init__(self) -> None:
         self.counts: dict[str, dict[str, int]] = {}
         self.failures: list[dict[str, str]] = []
-
-    def add(self, report: CheckReport) -> None:
-        c = self.counts.get(report.check_id)
-        if c is None:
-            c = self.counts[report.check_id] = {
-                "passed": 0, "failed": 0, "sharp": 0, "inapplicable": 0}
-        if not report.applicable:
-            c["inapplicable"] += 1
-            return
-        if report.holds:
-            c["passed"] += 1
-            if report.sharp:
-                c["sharp"] += 1
-        else:
-            c["failed"] += 1
-            self.failures.append({"check_id": report.check_id, "graph_id": report.graph_id})
 
     @property
     def ok(self) -> bool:
@@ -441,25 +429,43 @@ def evaluate_check(check_id: str, g: Graph, facts: GraphFacts | None = None) -> 
     return CheckReport(check_id, facts.graph6, lhs, rhs, holds, sharp, True, notes)
 
 
-def _evaluate_checks(check_ids: list[str], g: Graph) -> list[CheckReport]:
-    """One graph's reports; its checks share one GraphFacts."""
+#: A graph's status holds one letter per check: passed (not sharp), sharp,
+#: failed or inapplicable; each adds one to these counts of its check.
+_TALLIES = dict(zip(b"psfi", (("passed",), ("passed", "sharp"), ("failed",), ("inapplicable",))))
+_FAILED = ord("f")
+
+
+def _evaluate_checks(check_ids: list[str], g: Graph) -> tuple[str, bytes, str]:
+    """One graph's checks, sharing one GraphFacts, as the text that crosses
+    a process pool: the report lines, each ending in a newline; the status,
+    one letter of ``_TALLIES`` per check; and the graph id, read only for
+    failures."""
     facts = GraphFacts(g)
-    return [evaluate_check(cid, g, facts) for cid in check_ids]
+    lines, status = [], bytearray()
+    for cid in check_ids:
+        report = evaluate_check(cid, g, facts)
+        lines.append(f"{report.json_line()}\n")
+        status += (b"i" if not report.applicable else b"f" if not report.holds
+                   else b"s" if report.sharp else b"p")
+    return "".join(lines), bytes(status), facts.graph6
 
 
 def run_suite(
     graphs: Iterable,
     check_ids: Iterable[str],
     *,
-    on_report: Callable[[CheckReport], None] | None = None,
+    write: Callable[[str], object] | None = None,
     mapper: Callable = map,
 ) -> SuiteSummary:
     """Evaluate the selected checks on every graph of the corpus.
 
     Graphs that miss a check's preconditions count as inapplicable, never as
-    failures.  Reports stream through ``on_report`` in corpus order.
-    ``mapper(fn, graphs)`` replaces ``map``, e.g. to run ``fn``, which gives
-    one graph's reports, in worker processes; it must keep corpus order.
+    failures.  Each graph's report lines go to ``write`` as one string, in
+    corpus order.  ``mapper(fn, graphs)`` replaces ``map``, e.g. to run
+    ``fn``, which gives one graph's lines and status, in worker processes;
+    it must keep corpus order.  Graphs are tallied by status string, one
+    count per distinct string, and the counts fold into the summary at the
+    end.
     """
     check_ids = set(check_ids)
     wanted = [cid for cid in CHECK_IDS if cid in check_ids]
@@ -467,9 +473,18 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     summary = SuiteSummary()
-    for reports in mapper(partial(_evaluate_checks, wanted), graphs):
-        for report in reports:
-            summary.add(report)
-            if on_report is not None:
-                on_report(report)
+    patterns: defaultdict[bytes, int] = defaultdict(int)
+    for text, status, graph_id in mapper(partial(_evaluate_checks, wanted), graphs):
+        if write is not None:
+            write(text)
+        patterns[status] += 1
+        if _FAILED in status:
+            summary.failures += [{"check_id": cid, "graph_id": graph_id}
+                                 for cid, letter in zip(wanted, status) if letter == _FAILED]
+    for status, count in patterns.items():
+        for cid, letter in zip(wanted, status):
+            counts = summary.counts.setdefault(
+                cid, dict.fromkeys(("passed", "failed", "sharp", "inapplicable"), 0))
+            for key in _TALLIES[letter]:
+                counts[key] += count
     return summary

@@ -626,6 +626,22 @@ def test_pool_sends_graphs_without_graph6(capsys, monkeypatch):
     assert code == 0 and encoded == []
 
 
+@pytest.mark.parametrize("source", [["--input", CUBIC], ["--trees-up-to", "9"]])
+def test_pool_sends_back_no_report_objects(capsys, monkeypatch, source):
+    from sigdom import verification
+
+    def refuse(self, protocol):
+        raise AssertionError("a CheckReport was pickled")
+
+    argv = ["verify", "--suite", "all", *source]
+    serial = run_cli(capsys, monkeypatch, [*argv, "--jobs", "1"])
+    # the workers fork after this patch, so a report pickled there raises
+    monkeypatch.setattr(verification.CheckReport, "__reduce_ex__", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert serial[0] == 0
+    assert run_cli(capsys, monkeypatch, [*argv, "--jobs", "2"]) == serial
+
+
 @pytest.mark.parametrize("jobs, stdin", [("2", ""), ("1", "C~\n")])
 def test_no_pool_for_one_job_or_empty_input(jobs, stdin):
     script = ("import sys; from sigdom.cli import main; main(sys.argv[1:]); "

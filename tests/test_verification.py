@@ -81,8 +81,10 @@ def test_clique_bound_against_a_decimal_oracle(connected_upto8, cubic_upto10, qu
     corpus = connected_upto8 + cubic_upto10 + quartic_5to9
     corpus += [t for n in range(2, 13) for t in free_trees(n)]
     corpus += [build_matched_multipartite(r) for r in (2, 3, 4)]
-    reports = []
-    run_suite(corpus, ["turan"], on_report=reports.append)
+    reports = [evaluate_check("turan", g) for g in corpus]
+    written = []
+    run_suite(corpus, ["turan"], write=written.append)
+    assert written == [f"{rep.json_line()}\n" for rep in reports]
     assert len(reports) == len(corpus)
     tiny = decimal.Decimal("1e-40")
     for g, rep in zip(corpus, reports):
@@ -313,30 +315,64 @@ def test_evaluate_check_dispatch():
 
 
 def test_run_suite_on_trees():
-    reports = []
+    written = []
     summary = run_suite(
         (t for n in range(2, 9) for t in free_trees(n)),
         ["t43", "lemma42"],
-        on_report=reports.append,
+        write=written.append,
     )
     assert summary.ok
     n_trees = 1 + 1 + 2 + 3 + 6 + 11 + 23
     assert summary.counts["t43"]["passed"] == n_trees
     assert summary.counts["lemma42"]["passed"] == n_trees
-    assert len(reports) == 2 * n_trees
+    # one write per graph, of its two report lines
+    assert len(written) == n_trees
+    assert "".join(written).count("\n") == 2 * n_trees
 
 
 def test_shared_facts_change_no_report(connected_upto8, cubic_upto10, quartic_5to9):
     # oracle: each check alone on a fresh copy of the graph, sharing nothing
     trees = [t for n in range(2, 10) for t in free_trees(n)]
     corpus = cubic_upto10 + quartic_5to9 + trees + connected_upto8[:500]
-    shared = []
-    run_suite(corpus, CHECK_IDS, on_report=shared.append)
+    written = []
+    run_suite(corpus, CHECK_IDS, write=written.append)
     alone = [
         evaluate_check(cid, Graph(g.n, g.edges())) for g in corpus for cid in CHECK_IDS
     ]
-    assert [r.json_line() for r in shared] == [r.json_line() for r in alone]
+    assert "".join(written) == "".join(f"{r.json_line()}\n" for r in alone)
+    shared = []
+    for g in corpus:
+        facts = verification.GraphFacts(g)
+        shared += [evaluate_check(cid, g, facts) for cid in CHECK_IDS]
     assert shared == alone
+
+
+def test_run_suite_is_a_fold_of_its_reports(monkeypatch, cubic_upto10, quartic_5to9):
+    # oracle: the counts and failures folded here, report by report, from
+    # evaluate_check; one stubbed t43 violation is also sharp, which a
+    # failure does not count
+    trees = [t for n in range(2, 10) for t in free_trees(n)]
+    corpus = cubic_upto10 + quartic_5to9 + trees
+    violated, real = write_graph6(trees[40]), verification.CHECKS["t43"]
+    monkeypatch.setitem(verification.CHECKS, "t43", lambda facts: (
+        (1, 1, False, True, "stub") if facts.graph6 == violated else real(facts)))
+    counts, failures = {}, []
+    for g in corpus:
+        facts = verification.GraphFacts(g)
+        for cid in CHECK_IDS:
+            rep = evaluate_check(cid, g, facts)
+            c = counts.setdefault(cid, dict.fromkeys(("passed", "failed", "sharp", "inapplicable"), 0))
+            if not rep.applicable:
+                c["inapplicable"] += 1
+            elif rep.holds:
+                c["passed"] += 1
+                c["sharp"] += rep.sharp
+            else:
+                c["failed"] += 1
+                failures.append({"check_id": cid, "graph_id": rep.graph_id})
+    summary = run_suite(corpus, CHECK_IDS)
+    assert failures == [{"check_id": "t43", "graph_id": violated}]
+    assert summary.counts == counts and summary.failures == failures
 
 
 def _relabel(g: Graph, perm) -> Graph:
@@ -455,11 +491,14 @@ def test_tallies_are_the_printed_summary():
     assert SuiteSummary().json_line() == '{"summary": {}, "failures": []}'
 
 
-def test_suite_summary_failure_ordering():
-    summary = SuiteSummary()
-    mk = lambda cid, gid: CheckReport(cid, gid, 0, 0, False, False)
-    for cid, gid in [("t43", "Cz"), ("t22", "Aa"), ("t22", "Cz")]:
-        summary.add(mk(cid, gid))
+def test_suite_summary_failure_ordering(monkeypatch):
+    # stubbed ids and checks: t22 fails on both graphs and t43 on the first,
+    # so the failures come in neither id nor check order
+    monkeypatch.setattr(verification, "write_graph6", lambda g: {2: "Aa", 4: "Cz"}[g.n])
+    monkeypatch.setitem(verification.CHECKS, "t22", lambda facts: (0, 0, False, False, ""))
+    monkeypatch.setitem(verification.CHECKS, "t43", lambda facts: (
+        0, 0, facts.graph.n != 4, False, ""))
+    summary = run_suite([path_graph(4), path_graph(2)], ["t43", "t22"])
     assert not summary.ok
     payload = json.loads(summary.json_line())
     assert [(f["check_id"], f["graph_id"]) for f in payload["failures"]] == [
