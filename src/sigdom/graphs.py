@@ -4,10 +4,8 @@ Vertices are always 0..n-1.  Adjacency is stored as one Python int bitmask per
 vertex, so neighbourhood intersections and counts are cheap machine-word
 operations; every search-heavy routine in the package leans on that.
 
-Graph.__init__ checks every edge it is given.  The graph6 reader and the
-tree generator build the masks themselves, where no edge can be out of
-range, a loop or a repeat, and hand them to ``_from_masks``; the graph6
-reader keeps the record's text as the graph id.
+Graph.__init__ checks every edge it is given; the graph6 reader builds the
+masks straight from the payload and keeps the record's text as the graph id.
 """
 
 from __future__ import annotations
@@ -92,14 +90,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _from_masks(n: int, adj: tuple[int, ...], m: int, graph6: str | None) -> Graph:
-    """A Graph from symmetric, loop-free neighbour masks and their edge
-    count, without Graph.__init__ and its edge checks."""
-    g = Graph.__new__(Graph)
-    g.n, g.adj, g.m, g.graph6 = n, adj, m, graph6
-    return g
-
-
 # ---------------------------------------------------------------------------
 # graph6 exchange format (McKay short form, n <= 62)
 # ---------------------------------------------------------------------------
@@ -182,8 +172,11 @@ def parse_graph6(line: str) -> Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
             col ^= low
-    # no edge decoded here can be out of range, a loop or a repeat
-    return _from_masks(n, tuple(adj), m, s)
+    # no edge decoded here can be out of range, a loop or a repeat, so
+    # Graph.__init__ and its edge checks are skipped
+    g = Graph.__new__(Graph)
+    g.n, g.adj, g.m, g.graph6 = n, tuple(adj), m, s
+    return g
 
 
 def stream_graph6(

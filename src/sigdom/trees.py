@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .graphs import Graph, _from_masks
+from .graphs import Graph
 
 MAX_TREE_ORDER = 16
 
@@ -29,30 +29,15 @@ _RAISE = bytes(range(1, 256)) + b"\xff"
 
 
 def _edges_from_levels(levels: Sequence[int]) -> list[tuple[int, int]]:
-    """Preorder level sequence -> (parent, child) edges: the parent of a
-    vertex is the latest vertex one level above it."""
-    last = [0] * len(levels)  # last[d]: the latest vertex at level d
+    """Preorder level sequence -> parent edges."""
+    stack: list[int] = []
     edges = []
-    for v in range(1, len(levels)):
-        d = levels[v]
-        edges.append((last[d - 1], v))
-        last[d] = v
+    for v, depth in enumerate(levels):
+        del stack[depth:]
+        if stack:
+            edges.append((stack[-1], v))
+        stack.append(v)
     return edges
-
-
-def _tree_from_levels(levels: Sequence[int]) -> Graph:
-    """The tree of a preorder level sequence, with the parents of
-    _edges_from_levels, its masks built with no edge list and no edge checks."""
-    n = len(levels)
-    adj = [0] * n
-    last = [0] * n
-    for v in range(1, n):
-        d = levels[v]
-        p = last[d - 1]
-        adj[p] |= 1 << v
-        adj[v] |= 1 << p
-        last[d] = v
-    return _from_masks(n, tuple(adj), n - 1, None)
 
 
 def _next_rooted(levels: list[int], p: int) -> list[int]:
@@ -153,4 +138,5 @@ def free_trees(n: int) -> Iterator[Graph]:
         yield Graph(1)
         return
     codes = sorted(map(_lex_max_rooting, _centre_rooted_sequences(n)), reverse=True)
-    yield from map(_tree_from_levels, codes)
+    for code in codes:
+        yield Graph(n, _edges_from_levels(code))

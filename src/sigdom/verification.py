@@ -6,7 +6,7 @@ or the reason the graph is out of its scope.  evaluate_check turns that
 into a CheckReport.  run_suite runs the checks of one graph where its
 mapper calls them, a worker process under ``--jobs``, and gets back only
 text: the graph's report lines, one status letter per check and the graph
-id; it writes the lines and tallies the corpus by status string.  The checks
+id; it writes the lines and tallies each check from its letter.  The checks
 on one graph share a GraphFacts: its graph id, degree and connectivity
 tests, clique number, istdn optimum and tree structure are each computed
 once, on first use, and read by every check after that; the graph id is
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
@@ -429,17 +428,11 @@ def evaluate_check(check_id: str, g: Graph, facts: GraphFacts | None = None) -> 
     return CheckReport(check_id, facts.graph6, lhs, rhs, holds, sharp, True, notes)
 
 
-#: A graph's status holds one letter per check: passed (not sharp), sharp,
-#: failed or inapplicable; each adds one to these counts of its check.
-_TALLIES = dict(zip(b"psfi", (("passed",), ("passed", "sharp"), ("failed",), ("inapplicable",))))
-_FAILED = ord("f")
-
-
 def _evaluate_checks(check_ids: list[str], g: Graph) -> tuple[str, bytes, str]:
     """One graph's checks, sharing one GraphFacts, as the text that crosses
     a process pool: the report lines, each ending in a newline; the status,
-    one letter of ``_TALLIES`` per check; and the graph id, read only for
-    failures."""
+    one letter per check, ``p`` passed, ``s`` sharp, ``f`` failed or ``i``
+    inapplicable; and the graph id, read only for failures."""
     facts = GraphFacts(g)
     lines, status = [], bytearray()
     for cid in check_ids:
@@ -463,9 +456,7 @@ def run_suite(
     failures.  Each graph's report lines go to ``write`` as one string, in
     corpus order.  ``mapper(fn, graphs)`` replaces ``map``, e.g. to run
     ``fn``, which gives one graph's lines and status, in worker processes;
-    it must keep corpus order.  Graphs are tallied by status string, one
-    count per distinct string, and the counts fold into the summary at the
-    end.
+    it must keep corpus order.
     """
     check_ids = set(check_ids)
     wanted = [cid for cid in CHECK_IDS if cid in check_ids]
@@ -473,18 +464,19 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     summary = SuiteSummary()
-    patterns: defaultdict[bytes, int] = defaultdict(int)
+    tallies = [dict.fromkeys(("passed", "failed", "sharp", "inapplicable"), 0) for _ in wanted]
     for text, status, graph_id in mapper(partial(_evaluate_checks, wanted), graphs):
         if write is not None:
             write(text)
-        patterns[status] += 1
-        if _FAILED in status:
-            summary.failures += [{"check_id": cid, "graph_id": graph_id}
-                                 for cid, letter in zip(wanted, status) if letter == _FAILED]
-    for status, count in patterns.items():
-        for cid, letter in zip(wanted, status):
-            counts = summary.counts.setdefault(
-                cid, dict.fromkeys(("passed", "failed", "sharp", "inapplicable"), 0))
-            for key in _TALLIES[letter]:
-                counts[key] += count
+        for cid, c, letter in zip(wanted, tallies, status.decode()):
+            if letter == "i":
+                c["inapplicable"] += 1
+            elif letter == "f":
+                c["failed"] += 1
+                summary.failures.append({"check_id": cid, "graph_id": graph_id})
+            else:
+                c["passed"] += 1
+                c["sharp"] += letter == "s"
+    # with no graphs the counts stay empty
+    summary.counts = {cid: c for cid, c in zip(wanted, tallies) if any(c.values())}
     return summary

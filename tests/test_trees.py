@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import free_trees_by_rooted_scan
-from sigdom.graphs import Graph, is_tree, path_graph, star_graph, write_graph6
+from sigdom.graphs import is_tree, path_graph, star_graph, write_graph6
 from sigdom.trees import free_trees
 
 # published census of free trees by order
@@ -22,14 +22,6 @@ def test_same_trees_and_order_as_rooted_scan():
     for n in range(1, 14):
         expected = [write_graph6(t) for t in free_trees_by_rooted_scan(n)]
         assert [write_graph6(t) for t in free_trees(n)] == expected, n
-
-
-def test_trees_equal_their_checked_construction():
-    # built from masks without Graph.__init__: the same graph, edge count and no id
-    for n in range(1, 13):
-        for t in free_trees(n):
-            assert t == Graph(n, list(t.edges()))
-            assert t.m == n - 1 and t.graph6 is None
 
 
 def test_outputs_are_trees():

@@ -492,17 +492,22 @@ def test_tallies_are_the_printed_summary():
 
 
 def test_suite_summary_failure_ordering(monkeypatch):
-    # stubbed ids and checks: t22 fails on both graphs and t43 on the first,
-    # so the failures come in neither id nor check order
+    # stubbed ids and checks: turan fails on both graphs and t43 on Cz, the
+    # first graph.  run_suite meets the failures in corpus order and then in
+    # CHECK_IDS order, where turan comes before t43, so only the summary's
+    # sort by graph id and then check id gives the list below
     monkeypatch.setattr(verification, "write_graph6", lambda g: {2: "Aa", 4: "Cz"}[g.n])
-    monkeypatch.setitem(verification.CHECKS, "t22", lambda facts: (0, 0, False, False, ""))
+    monkeypatch.setitem(verification.CHECKS, "turan", lambda facts: (0, 0, False, False, ""))
     monkeypatch.setitem(verification.CHECKS, "t43", lambda facts: (
         0, 0, facts.graph.n != 4, False, ""))
-    summary = run_suite([path_graph(4), path_graph(2)], ["t43", "t22"])
+    summary = run_suite([path_graph(4), path_graph(2)], ["t43", "turan"])
+    assert [(f["check_id"], f["graph_id"]) for f in summary.failures] == [
+        ("turan", "Cz"), ("t43", "Cz"), ("turan", "Aa")
+    ]
     assert not summary.ok
     payload = json.loads(summary.json_line())
     assert [(f["check_id"], f["graph_id"]) for f in payload["failures"]] == [
-        ("t22", "Aa"), ("t22", "Cz"), ("t43", "Cz")
+        ("turan", "Aa"), ("t43", "Cz"), ("turan", "Cz")
     ]
 
 
